@@ -37,20 +37,27 @@ def read_config(path: str | None) -> dict[str, str]:
     return out
 
 
+def _number(kind, text: str, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {text!r}") from None
+
+
 def _cfg_int(cfg, key, default=None):
     if key in cfg:
-        return int(cfg[key])
+        return _number(int, cfg[key], f"config key {key!r}")
     if default is None:
         raise ConfigError(f"missing config key {key!r}")
     return default
 
 
 def _cfg_float(cfg, key, default):
-    return float(cfg[key]) if key in cfg else default
+    return _number(float, cfg[key], f"config key {key!r}") if key in cfg else default
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.replace(",", " ").split())
+def _int_list(text: str, what: str) -> tuple[int, ...]:
+    return tuple(_number(int, t, what) for t in text.replace(",", " ").split())
 
 
 def _str_list(text: str) -> tuple[str, ...]:
@@ -58,7 +65,9 @@ def _str_list(text: str) -> tuple[str, ...]:
 
 
 def _synth_config(cfg: dict[str, str], seed_override: int | None) -> ds.SynthConfig:
-    sizes = _int_list(cfg["value_set_sizes"]) if "value_set_sizes" in cfg else None
+    sizes = None
+    if "value_set_sizes" in cfg:
+        sizes = _int_list(cfg["value_set_sizes"], "config key 'value_set_sizes'")
     return ds.SynthConfig(
         num_users=_cfg_int(cfg, "num_users"),
         num_resources=_cfg_int(cfg, "num_resources"),
@@ -147,7 +156,10 @@ def _cmd_train(args) -> int:
             args.visible_res or data.num_res_meta,
         )
     encoder = enc.build_encoder(data, args.scheme)
-    wg, wd = (float(t) for t in args.weights.split(","))
+    weights = args.weights.split(",")
+    if len(weights) != 2:
+        raise ConfigError(f"--weights: expected 'wg,wd', got {args.weights!r}")
+    wg, wd = (_number(float, t, "--weights") for t in weights)
     tc = nn.TrainConfig(
         lr0=args.lr,
         epochs=args.epochs,
@@ -162,7 +174,7 @@ def _cmd_train(args) -> int:
         nn.NetworkConfig(
             input_width=encoder.width,
             num_ops=data.num_ops,
-            hidden_layers=_int_list(args.hidden),
+            hidden_layers=_int_list(args.hidden, "--hidden"),
             init_seed=args.seed,
         )
     )
@@ -198,10 +210,12 @@ def _cmd_serve(args) -> int:
     encoder = _load_encoder(args.encoder or args.model)
     store = eng.build_store(_load_dataset(args.store))
     host, _, port = args.listen.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdigit() or int(port) > 65535:
         raise ConfigError(f"bad --listen endpoint {args.listen!r}, expected HOST:PORT")
-    print(f"listening on {host}:{port}")
-    eng.serve(net, encoder, store, host, int(port), args.threshold, block=True)
+    server = eng.DecisionServer((host, int(port)), net, encoder, store, args.threshold)
+    with server:
+        print(f"listening on {host}:{server.server_address[1]}", flush=True)
+        server.serve_forever()
     return 0
 
 
@@ -366,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        threshold = getattr(args, "threshold", 0.5)
+        if not 0.0 < threshold < 1.0:
+            raise ConfigError(f"--threshold must be strictly between 0 and 1, got {threshold}")
         return args.func(args)
     except DlbacError as exc:
         print(f"error: {exc}", file=sys.stderr)

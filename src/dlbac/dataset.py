@@ -551,6 +551,8 @@ class CsvSchema:
 
 
 def _cell_int(row: dict, col: str, row_no: int) -> int:
+    if row[col] is None:  # DictReader's fill for a row shorter than the header
+        raise IngestError(f"row {row_no}: no cell in column {col!r}")
     raw = row[col].strip()
     try:
         return int(raw)

@@ -333,7 +333,10 @@ def load_tree(text: str) -> DistilledTree:
             return node
         raise FormatError(f"unknown tree entry at line {pos}")
 
-    root = parse(0)
+    try:
+        root = parse(0)
+    except ValueError:  # a leaf value, leaf count or node threshold that is not a number
+        raise FormatError(f"bad number at tree line {pos}") from None
     if pos != len(lines):
         raise FormatError("trailing content after tree")
     return DistilledTree(root, op_index, max_depth, min_leaf, mse, names)

@@ -178,5 +178,8 @@ def load_encoder(text: str) -> Encoder:
             raise FormatError(f"encoder file truncated: no values for position {p}")
         if [c for c, _ in entries] != list(range(len(entries))):
             raise FormatError(f"encoder file has gaps in columns for position {p}")
-        seen.append(tuple(v for _, v in entries))
+        values = tuple(v for _, v in entries)
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise FormatError(f"encoder values for position {p} are not strictly ascending")
+        seen.append(values)
     return Encoder(scheme, num_user_meta, num_res_meta, tuple(seen))

@@ -12,6 +12,8 @@ import socketserver
 import threading
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dataset import Dataset
 from .encoding import Encoder, encode_pair
 from .errors import ConfigError, ConflictError, NotFoundError
@@ -81,6 +83,14 @@ def build_store(dataset: Dataset) -> MetadataStore:
     return MetadataStore(dataset.num_user_meta, dataset.num_res_meta, users, resources)
 
 
+def _probabilities(
+    net: Network, encoder: Encoder, store: MetadataStore, uid: int, rid: int
+) -> np.ndarray:
+    """The one decision path: lookup, encode, forward; one probability per op."""
+    x = encode_pair(encoder, store.lookup_user(uid), store.lookup_resource(rid))
+    return forward(net, x)
+
+
 def decide(
     net: Network,
     encoder: Encoder,
@@ -93,8 +103,7 @@ def decide(
     """Grant iff the network's probability for op strictly exceeds the threshold."""
     if not 0 <= op < net.config.num_ops:
         raise ConfigError(f"operation index {op} out of range")
-    x = encode_pair(encoder, store.lookup_user(uid), store.lookup_resource(rid))
-    prob = float(forward(net, x)[op])
+    prob = float(_probabilities(net, encoder, store, uid, rid)[op])
     return Decision(op, prob, prob > threshold, threshold)
 
 
@@ -106,8 +115,7 @@ def decide_all(
     rid: int,
     threshold: float = 0.5,
 ) -> list[Decision]:
-    x = encode_pair(encoder, store.lookup_user(uid), store.lookup_resource(rid))
-    probs = forward(net, x)
+    probs = _probabilities(net, encoder, store, uid, rid)
     return [
         Decision(op, float(p), float(p) > threshold, threshold)
         for op, p in enumerate(probs)
@@ -172,20 +180,12 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 4712,
     threshold: float = 0.5,
-    block: bool = True,
 ) -> DecisionServer:
-    """Start the line-protocol server.
+    """Start the line-protocol server on a daemon thread and return it.
 
-    With block=False the server runs on a daemon thread and is returned so
-    callers (tests, embedders) can shut it down.
+    Callers (tests, embedders) stop it with `shutdown()` and `server_close()`;
+    `server_address` holds the bound port when `port` is 0.
     """
     server = DecisionServer((host, port), net, encoder, store, threshold)
-    if block:
-        try:
-            server.serve_forever()
-        finally:
-            server.server_close()
-    else:
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
     return server

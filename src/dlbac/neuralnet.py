@@ -37,29 +37,39 @@ class NetworkConfig:
     def widths(self) -> tuple[int, ...]:
         return (self.input_width, *self.hidden_layers, self.num_ops)
 
+    @property
+    def num_params(self) -> int:
+        widths = self.widths
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
 
-@dataclass
+
 class Network:
-    config: NetworkConfig
-    weights: list[np.ndarray]  # weights[l] has shape (in_l, out_l)
-    biases: list[np.ndarray]
+    """Network parameters, stored as one contiguous float64 vector `flat`.
+
+    The layout is model-file order: W0, b0, W1, b1, ...  `weights[l]` (shape
+    `(in_l, out_l)`, row-major) and `biases[l]` are views into `flat`, so a
+    write through either is a write to `flat`.  Without `flat` the
+    parameters start at zero.
+    """
+
+    def __init__(self, config: NetworkConfig, flat: np.ndarray | None = None):
+        size = config.num_params
+        flat = np.zeros(size) if flat is None else flat
+        if flat.shape != (size,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
+            raise ConfigError(f"flat parameters must be a contiguous float64 vector of {size}")
+        self.config = config
+        self.flat = flat
+        self.weights: list[np.ndarray] = []
+        self.biases: list[np.ndarray] = []
+        start = 0
+        for fan_in, fan_out in zip(config.widths[:-1], config.widths[1:]):
+            end = start + fan_in * fan_out
+            self.weights.append(flat[start:end].reshape(fan_in, fan_out))
+            self.biases.append(flat[end : end + fan_out])
+            start = end + fan_out
 
     def params(self) -> list[np.ndarray]:
-        out = []
-        for W, b in zip(self.weights, self.biases):
-            out.append(W)
-            out.append(b)
-        return out
-
-    def with_params(self, params: list[np.ndarray]) -> "Network":
-        weights = [params[2 * i] for i in range(len(self.weights))]
-        biases = [params[2 * i + 1] for i in range(len(self.biases))]
-        return Network(self.config, weights, biases)
-
-    def copy(self) -> "Network":
-        return Network(
-            self.config, [W.copy() for W in self.weights], [b.copy() for b in self.biases]
-        )
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
 
 @dataclass(frozen=True)
@@ -79,8 +89,8 @@ class TrainConfig:
             raise ConfigError("lr0 must be positive")
         if self.early_stop_patience < 1:
             raise ConfigError("early_stop_patience must be >= 1")
-        if min(self.class_weights) <= 0:
-            raise ConfigError("class weights must be positive")
+        if not all(0.0 < w < np.inf for w in self.class_weights):
+            raise ConfigError("class weights must be positive and finite")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must be strictly between 0 and 1")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -109,13 +119,10 @@ class TrainReport:
 def init_network(config: NetworkConfig) -> Network:
     """He-scheme initialization: W ~ N(0, 2/fan_in), biases zero."""
     rng = np.random.default_rng(config.init_seed)
-    weights, biases = [], []
-    widths = config.widths
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        std = np.sqrt(2.0 / fan_in)
-        weights.append(rng.normal(0.0, std, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return Network(config, weights, biases)
+    net = Network(config)
+    for W in net.weights:
+        W[...] = rng.normal(0.0, np.sqrt(2.0 / W.shape[0]), size=W.shape)
+    return net
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -170,27 +177,24 @@ def loss(
 
 
 def _loss_grads(net: Network, X: np.ndarray, Y: np.ndarray, class_weights):
-    """Gradients of loss(forward(X), Y) w.r.t. every parameter; also the loss."""
+    """Gradient of loss(forward(X), Y) w.r.t. every parameter, as a Network; also the loss."""
     wg, wd = class_weights
     acts, zs = _forward_cache(net, X)
     probs = acts[-1]
-    n_entries = probs.size
-    p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-    per = -(wg * Y * np.log(p) + wd * (1.0 - Y) * np.log(1.0 - p))
-    total_loss = float(np.mean(per))
+    total_loss = loss(probs, Y, class_weights)
 
+    p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
     inside = (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
-    dL_dp = (-(wg * Y / p) + wd * (1.0 - Y) / (1.0 - p)) * inside / n_entries
+    dL_dp = (-(wg * Y / p) + wd * (1.0 - Y) / (1.0 - p)) * inside / probs.size
     delta = dL_dp * probs * (1.0 - probs)  # dL/dz at the output layer
 
-    grads_W: list[np.ndarray] = [None] * len(net.weights)
-    grads_b: list[np.ndarray] = [None] * len(net.biases)
+    grad = Network(net.config, np.empty_like(net.flat))
     for l in range(len(net.weights) - 1, -1, -1):
-        grads_W[l] = acts[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+        np.matmul(acts[l].T, delta, out=grad.weights[l])
+        np.sum(delta, axis=0, out=grad.biases[l])
         if l > 0:
             delta = (delta @ net.weights[l].T) * (zs[l - 1] > 0.0)
-    return grads_W, grads_b, total_loss
+    return grad, total_loss
 
 
 def backward(
@@ -208,8 +212,8 @@ def backward(
     if x.ndim == 1:
         x = x[None, :]
         labels = labels[None, :]
-    gw, gb, _ = _loss_grads(net, x, labels, class_weights)
-    return gw, gb
+    grad, _ = _loss_grads(net, x, labels, class_weights)
+    return grad.weights, grad.biases
 
 
 def input_gradient(net: Network, x: np.ndarray, op_index: int) -> np.ndarray:
@@ -306,10 +310,10 @@ def train(
     Xtr, Ytr = X[tr_idx], Y[tr_idx]
     Xval, Yval = X[val_idx], Y[val_idx]
 
-    params = [p.copy() for p in net.params()]
-    state = init_adam(params)
+    work = net  # adam_step is pure, so the input network is never written
+    state = init_adam([work.flat])
     stopper = EarlyStopper(tc.early_stop_patience)
-    best_params = [p.copy() for p in params]
+    best = net.flat.copy()
     report = TrainReport()
 
     n = Xtr.shape[0]
@@ -320,17 +324,12 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, tc.batch_size):
             idx = batch_order[start : start + tc.batch_size]
-            work = net.with_params(params)
-            gw, gb, batch_loss = _loss_grads(work, Xtr[idx], Ytr[idx], tc.class_weights)
-            grads = []
-            for W, b in zip(gw, gb):
-                grads.append(W)
-                grads.append(b)
-            params, state = adam_step(params, grads, state, lr)
+            grad, batch_loss = _loss_grads(work, Xtr[idx], Ytr[idx], tc.class_weights)
+            (flat,), state = adam_step([work.flat], [grad.flat], state, lr)
+            work = Network(net.config, flat)
             epoch_loss += batch_loss * len(idx)
         epoch_loss /= n
 
-        work = net.with_params(params)
         if len(val_idx) > 0:
             val_loss = loss(forward(work, Xval), Yval, tc.class_weights)
         else:
@@ -343,13 +342,13 @@ def train(
         improved_to_best = val_loss < stopper.best
         should_stop = stopper.update(val_loss)
         if improved_to_best:
-            best_params = [p.copy() for p in params]
+            np.copyto(best, work.flat)
         if should_stop:
             break
 
     report.stopped_epoch = len(report.train_losses)
     report.best_epoch = max(stopper.best_epoch, 0)
-    return net.with_params(best_params), report
+    return Network(net.config, best), report
 
 
 # ---------------------------------------------------------------------------
@@ -387,39 +386,38 @@ def load_model(text: str) -> Network:
         input_width=widths[0], num_ops=widths[-1], hidden_layers=tuple(widths[1:-1])
     )
 
-    weights: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
+    # every value takes a token and a separator: reject before allocating
+    if 2 * config.num_params > len(text):
+        raise FormatError("model file is too short for its widths")
+    net = Network(config)
     i = 2
-    for l in range(len(widths) - 1):
-        rows, cols = widths[l], widths[l + 1]
+    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
+        rows, cols = W.shape
         expect = f"layer {l} weight {rows} {cols}"
         if i >= len(lines) or lines[i].strip() != expect:
             raise FormatError(f"expected {expect!r} at line {i + 1}")
         i += 1
-        W = np.empty((rows, cols))
         for r in range(rows):
             if i >= len(lines):
                 raise FormatError("truncated weight matrix")
-            toks = lines[i].split()
-            if len(toks) != cols:
-                raise FormatError(f"line {i + 1}: expected {cols} weight values")
-            try:
-                W[r] = [float.fromhex(t) for t in toks]
-            except ValueError:
-                raise FormatError(f"line {i + 1}: bad float literal") from None
+            W[r] = _hex_floats(lines[i], cols, i)
             i += 1
         expect = f"layer {l} bias {cols}"
         if i >= len(lines) or lines[i].strip() != expect:
             raise FormatError(f"expected {expect!r} at line {i + 1}")
         i += 1
-        toks = lines[i].split()
-        if len(toks) != cols:
-            raise FormatError(f"line {i + 1}: expected {cols} bias values")
-        try:
-            b = np.array([float.fromhex(t) for t in toks])
-        except ValueError:
-            raise FormatError(f"line {i + 1}: bad float literal") from None
+        if i >= len(lines):
+            raise FormatError("truncated bias vector")
+        b[:] = _hex_floats(lines[i], cols, i)
         i += 1
-        weights.append(W)
-        biases.append(b)
-    return Network(config, weights, biases)
+    return net
+
+
+def _hex_floats(line: str, count: int, i: int) -> list[float]:
+    toks = line.split()
+    if len(toks) != count:
+        raise FormatError(f"line {i + 1}: expected {count} values")
+    try:
+        return [float.fromhex(t) for t in toks]
+    except ValueError:
+        raise FormatError(f"line {i + 1}: bad float literal") from None

@@ -498,7 +498,7 @@ def test_criterion_11_determinism_roundtrips_protocol():
     )
 
     store = d.build_store(dset_a)
-    server = d.serve(net_a, enc_a, store, host="127.0.0.1", port=0, block=False)
+    server = d.serve(net_a, enc_a, store, host="127.0.0.1", port=0)
     rng = d.SplitMix64(7)
     uids, rids = store.user_ids, store.resource_ids
     protocol_ok = True

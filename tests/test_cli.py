@@ -1,3 +1,10 @@
+import os
+import select
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import dlbac as d
@@ -79,6 +86,15 @@ class TestSynth:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_integer_value_is_single_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SYNTH_CFG.replace("num_users = 120", "num_users = abc"))
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "num_users" in err
+        assert err.count("\n") == 1
+
 
 class TestTrain:
     def test_artifacts_exist_and_load(self, workdir):
@@ -97,6 +113,15 @@ class TestTrain:
         printed = capsys.readouterr().out
         for name in ("model.txt", "encoder.txt", "train_report.csv"):
             assert name in printed
+
+    @pytest.mark.parametrize("weights", ["1", "1,2,3", "1,x", "1,nan", "0,1"])
+    def test_malformed_weights_is_single_line_error(self, workdir, tmp_path, capsys, weights):
+        _, data, _ = workdir
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "m"),
+                   "--hidden", "8", "--epochs", "1", "--weights", weights])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestEval:
@@ -132,6 +157,53 @@ class TestDecide:
         err = capsys.readouterr().err.strip()
         assert err == "error: unknown user 123456789"
         assert "\n" not in err
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("command", ["eval", "decide", "serve"])
+    @pytest.mark.parametrize("threshold", ["0", "1", "-0.5", "1.5", "nan"])
+    def test_outside_unit_interval_is_single_line_error(
+        self, workdir, tmp_path, capsys, command, threshold
+    ):
+        _, data, model_dir = workdir
+        extra = {
+            "eval": ["--data", str(data), "--out", str(tmp_path / "m.csv")],
+            "decide": ["--store", str(data), "--uid", "0", "--rid", "0", "--op", "0"],
+            "serve": ["--store", str(data), "--listen", "127.0.0.1:0"],
+        }[command]
+        rc = main([command, "--model", str(model_dir), "--threshold", threshold, *extra])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --threshold") and err.count("\n") == 1
+
+
+class TestServe:
+    def test_announces_bound_port_on_a_pipe(self, workdir):
+        _, data, model_dir = workdir
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        src = str(Path(d.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dlbac.cli", "serve", "--model", str(model_dir),
+             "--store", str(data), "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, env=env, text=True,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            assert ready, "no announcement within 60 s"
+            line = proc.stdout.readline().strip()
+            host, _, port = line.removeprefix("listening on ").rpartition(":")
+            assert host == "127.0.0.1" and int(port) > 0
+            with socket.create_connection((host, int(port)), timeout=10) as sock, \
+                    sock.makefile("rw", encoding="utf-8", newline="\n") as f:
+                f.write("PING\n")
+                f.flush()
+                assert f.readline().strip() == "PONG"
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 class TestExplain:

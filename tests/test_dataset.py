@@ -351,3 +351,8 @@ class TestIngestCsv:
         text = CSV_TEXT.replace("4,1", "4,x")
         with pytest.raises(IngestError, match="row 4"):
             d.ingest_csv(text, self.schema)
+
+    def test_short_row_reports_row(self):
+        text = CSV_TEXT.replace("4,1", "4", 1)
+        with pytest.raises(IngestError, match="row 4"):
+            d.ingest_csv(text, self.schema)

@@ -263,3 +263,19 @@ class TestPersistence:
         )
         with pytest.raises(FormatError):
             d.load_tree(text)
+
+    @pytest.mark.parametrize(
+        "node, leaf",
+        [
+            ("node umeta0 <= 0.5", "leaf x 1"),
+            ("node umeta0 <= 0.5", "leaf 0.1 many"),
+            ("node umeta0 <= half", "leaf 0.1 1"),
+        ],
+    )
+    def test_non_numeric_field_rejected(self, node, leaf):
+        text = (
+            "dlbac-tree v1 op=0 max_depth=1 min_samples_leaf=1 mse=0.0\n"
+            f"features umeta0\n{node}\n {leaf}\n leaf 0.9 1\n"
+        )
+        with pytest.raises(FormatError, match="tree line"):
+            d.load_tree(text)

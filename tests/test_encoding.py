@@ -121,6 +121,13 @@ class TestPersistence:
         with pytest.raises(FormatError, match="gaps"):
             d.load_encoder(text)
 
+    @pytest.mark.parametrize("order", ["0 5 0\n0 3 1", "0 5 0\n0 5 1"])
+    def test_values_must_ascend(self, order):
+        # (5, 3) would silently encode the seen value 3 as unknown
+        text = f"dlbac-encoder v1 onehot 1 1\n{order}\n1 3 0\n"
+        with pytest.raises(FormatError, match="ascending"):
+            d.load_encoder(text)
+
     def test_missing_position_detected(self):
         text = "dlbac-encoder v1 onehot 1 1\n0 5 0\n"
         with pytest.raises(FormatError, match="position 1"):

@@ -121,7 +121,7 @@ class TestProtocolLines:
 class TestServer:
     def test_tcp_round_trip(self, setup):
         net, enc, store, dset = setup
-        server = d.serve(net, enc, store, host="127.0.0.1", port=0, block=False)
+        server = d.serve(net, enc, store, host="127.0.0.1", port=0)
         try:
             host, port = server.server_address
             with socket.create_connection((host, port), timeout=5) as sock:
@@ -147,7 +147,7 @@ class TestServer:
 
     def test_concurrent_connections(self, setup):
         net, enc, store, _ = setup
-        server = d.serve(net, enc, store, host="127.0.0.1", port=0, block=False)
+        server = d.serve(net, enc, store, host="127.0.0.1", port=0)
         try:
             host, port = server.server_address
             socks = [socket.create_connection((host, port), timeout=5) for _ in range(4)]

@@ -6,6 +6,7 @@ import pytest
 import dlbac as d
 from dlbac.errors import ConfigError, FormatError
 from dlbac.neuralnet import EarlyStopper, _sigmoid
+from dlbac.rng import SplitMix64
 
 
 def tiny_net(input_width=3, num_ops=2, hidden=(4,), seed=0):
@@ -311,6 +312,48 @@ class TestTrain:
         trained, report = d.train(net, dset, enc, tc)
         assert min(report.val_losses) == report.val_losses[report.best_epoch]
 
+    def test_returned_network_is_a_snapshot_of_the_best_epoch(self):
+        dset = trainable_dataset()
+        enc = d.build_encoder(dset)
+        net = d.init_network(d.NetworkConfig(enc.width, dset.num_ops, (8,)))
+        before = net.flat.copy()
+        tc = d.TrainConfig(epochs=10, lr0=0.3, early_stop_patience=3, val_fraction=0.2)
+        trained, report = d.train(net, dset, enc, tc)
+        assert np.array_equal(net.flat, before)
+        # epochs after the best one moved the working parameters on
+        assert report.best_epoch < report.stopped_epoch - 1
+        # the validation carve-out, drawn as train draws it
+        order = list(range(len(dset.tuples)))
+        SplitMix64(tc.shuffle_seed).shuffle(order)
+        val = order[: int(tc.val_fraction * len(order))]
+        X = d.encode_dataset(enc, dset)[val]
+        Y = dset.labels_matrix().astype(np.float64)[val]
+        assert d.loss(d.forward(trained, X), Y) == report.val_losses[report.best_epoch]
+
+
+class TestFlatParameters:
+    def test_weights_and_biases_are_views_in_file_order(self):
+        net = tiny_net(input_width=3, num_ops=2, hidden=(4,))
+        assert net.flat.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+        assert np.array_equal(net.flat, np.concatenate([p.ravel() for p in net.params()]))
+        net.biases[0][1] = 7.0
+        assert net.flat[3 * 4 + 1] == 7.0
+
+    def test_given_buffer_is_used_without_copying(self):
+        cfg = d.NetworkConfig(input_width=2, num_ops=1, hidden_layers=(2,))
+        flat = np.arange(9, dtype=np.float64)
+        net = d.Network(cfg, flat)
+        assert net.flat is flat
+        assert np.array_equal(net.weights[1], [[6.0], [7.0]])
+
+    @pytest.mark.parametrize(
+        "flat", [np.zeros(8), np.zeros(9, dtype=np.float32), np.zeros(18)[::2]]
+    )
+    def test_bad_buffer_rejected(self, flat):
+        cfg = d.NetworkConfig(input_width=2, num_ops=1, hidden_layers=(2,))
+        with pytest.raises(ConfigError):
+            d.Network(cfg, flat)
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self):
@@ -334,6 +377,16 @@ class TestPersistence:
         text = d.save_model(tiny_net())
         with pytest.raises(FormatError):
             d.load_model("\n".join(text.splitlines()[:-2]) + "\n")
+
+    def test_cut_after_bias_header(self):
+        lines = d.save_model(tiny_net()).splitlines()
+        cut = next(i for i, ln in enumerate(lines) if ln.startswith("layer 0 bias"))
+        with pytest.raises(FormatError):
+            d.load_model("\n".join(lines[: cut + 1]) + "\n")
+
+    def test_huge_widths_rejected_before_allocating(self):
+        with pytest.raises(FormatError):
+            d.load_model("dlbac-model v1\nwidths 1000000000 1000000 1\n")
 
     def test_bad_float_literal(self):
         text = d.save_model(tiny_net()).replace("0x1.", "0y1.", 1)
