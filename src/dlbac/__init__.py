@@ -28,7 +28,6 @@ from .dataset import (
 from .distill import (
     DistilledTree,
     ExtractedRule,
-    TreeNode,
     distill,
     extract_rule,
     fidelity,

@@ -166,7 +166,6 @@ def _cmd_train(args) -> int:
         batch_size=args.batch_size,
         early_stop_patience=args.patience,
         class_weights=(wg, wd),
-        threshold=args.threshold,
         val_fraction=args.val_fraction,
         shuffle_seed=args.seed,
     )
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--weights", default="1,1", help="class weights wg,wd")
-    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--val-fraction", type=float, default=0.1)
     p.add_argument("--visible-user", type=int, default=None)
     p.add_argument("--visible-res", type=int, default=None)

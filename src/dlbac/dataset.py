@@ -580,6 +580,8 @@ def ingest_csv(text: str, schema: CsvSchema) -> Dataset:
     uid_of: dict[tuple[int, ...], int] = {}
     records: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
     for row_no, row in enumerate(reader, start=2):  # header is row 1
+        if None in row:  # DictReader's key for cells beyond the header
+            raise IngestError(f"row {row_no}: more cells than header columns")
         umeta = tuple(_cell_int(row, c, row_no) for c in schema.user_meta_cols)
         rid = _cell_int(row, schema.resource_id_col, row_no)
         if schema.res_meta_cols:

@@ -19,29 +19,34 @@ from .neuralnet import Network, forward
 
 
 @dataclass
-class TreeNode:
-    # internal node: feature/threshold/left/right set, value None
-    # leaf: value/count set, feature None
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float | None = None
-    count: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
 class DistilledTree:
-    root: TreeNode
+    """A regression tree as flat per-node arrays, nodes numbered in file pre-order.
+
+    Node 0 is the root.  Internal node k sends a row to its left child k + 1
+    when row[feature[k]] <= threshold[k], else to node right[k].  A leaf has
+    feature -1 and carries value (mean target) and count (training rows);
+    the fields a node kind does not use hold nan, -1 or 0.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    count: np.ndarray
     op_index: int
     max_depth: int | None
     min_samples_leaf: int
     mse: float  # training mean squared error
     feature_names: tuple[str, ...]
+
+    def __eq__(self, other):  # equal iff they save to the same file
+        return isinstance(other, DistilledTree) and save_tree(self) == save_tree(other)
+
+
+def _node_arrays(nodes: list[list]) -> tuple[np.ndarray, ...]:
+    """The five field arrays from [feature, threshold, right, value, count] rows."""
+    dtypes = (np.int64, np.float64, np.int64, np.float64, np.int64)
+    return tuple(np.array(col, dtype=t) for col, t in zip(zip(*nodes), dtypes))
 
 
 def soft_labels(net: Network, encoder: Encoder, dataset: Dataset, op: int) -> np.ndarray:
@@ -101,24 +106,24 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
     return best
 
 
-def _grow(X, y, depth, max_depth, min_leaf) -> TreeNode:
-    node = TreeNode(value=float(np.mean(y)), count=len(y))
-    if max_depth is not None and depth >= max_depth:
-        return node
-    if len(y) < 2 * min_leaf or np.ptp(y) == 0.0:
-        return node
-    split = _best_split(X, y, min_leaf)
-    if split is None:
-        return node
-    _, f, thr = split
-    mask = X[:, f] <= thr
-    node.feature = f
-    node.threshold = thr
-    node.value = None  # internal nodes carry no prediction in the file format
-    node.count = 0
-    node.left = _grow(X[mask], y[mask], depth + 1, max_depth, min_leaf)
-    node.right = _grow(X[~mask], y[~mask], depth + 1, max_depth, min_leaf)
-    return node
+def _grow(X, y, max_depth, min_leaf) -> tuple[np.ndarray, ...]:
+    """Node arrays in pre-order: the stack pops a left subtree before its right."""
+    nodes: list[list] = []
+    stack = [(X, y, 0, None)]  # rows, depth, node whose right child they are
+    while stack:
+        X, y, depth, parent = stack.pop()
+        if parent is not None:
+            parent[2] = len(nodes)
+        grow = (max_depth is None or depth < max_depth) and len(y) >= 2 * min_leaf
+        split = _best_split(X, y, min_leaf) if grow and np.ptp(y) != 0.0 else None
+        if split is None:
+            nodes.append([-1, np.nan, -1, float(np.mean(y)), len(y)])
+            continue
+        _, f, thr = split
+        nodes.append(node := [f, thr, -1, np.nan, 0])  # internal nodes carry no prediction
+        mask = X[:, f] <= thr
+        stack += [(X[~mask], y[~mask], depth + 1, node), (X[mask], y[mask], depth + 1, None)]
+    return _node_arrays(nodes)
 
 
 def fit_tree(
@@ -140,18 +145,15 @@ def fit_tree(
         raise ConfigError("min_samples_leaf must be >= 1")
     if feature_names is None:
         feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
-    root = _grow(X, y, 0, max_depth, min_samples_leaf)
-    tree = DistilledTree(
-        root=root,
-        op_index=op_index,
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-        mse=0.0,
-        feature_names=tuple(feature_names),
-    )
-    preds = np.array([_descend(root, row)[0].value for row in X])
-    tree.mse = float(np.mean((preds - y) ** 2))
+    arrays = _grow(X, y, max_depth, min_samples_leaf)
+    tree = DistilledTree(*arrays, op_index, max_depth, min_samples_leaf, 0.0, tuple(feature_names))
+    tree.mse = float(np.mean((_leaf_values(tree, X) - y) ** 2))
     return tree
+
+
+def _raw_matrix(dataset: Dataset) -> np.ndarray:
+    """Raw metadata values, user columns then resource columns, one row per tuple."""
+    return np.hstack([dataset.umeta_matrix(), dataset.rmeta_matrix()]).astype(np.float64)
 
 
 def distill(
@@ -163,21 +165,25 @@ def distill(
     min_samples_leaf: int = 5,
 ) -> DistilledTree:
     """Fit a tree to the network's probabilities over a dataset's raw metadata."""
-    X = np.hstack([dataset.umeta_matrix(), dataset.rmeta_matrix()]).astype(np.float64)
+    X = _raw_matrix(dataset)
     y = soft_labels(net, encoder, dataset, op)
     names = tuple(metadata_names(dataset.num_user_meta, dataset.num_res_meta))
     return fit_tree(X, y, max_depth, min_samples_leaf, names, op_index=op)
 
 
-def _descend(root: TreeNode, row: np.ndarray):
-    """Leaf reached by the row plus the (node, went_left) path taken."""
-    path = []
-    node = root
-    while not node.is_leaf:
-        left = row[node.feature] <= node.threshold
-        path.append((node, left))
-        node = node.left if left else node.right
-    return node, path
+def _descend(tree: DistilledTree, row: np.ndarray):
+    """Leaf index reached by the row plus the (node, went_left) path taken."""
+    feature, threshold, right = tree.feature, tree.threshold, tree.right
+    path, k = [], 0
+    while (f := feature[k]) >= 0:
+        left = row[f] <= threshold[k]
+        path.append((k, left))
+        k = k + 1 if left else right[k]
+    return k, path
+
+
+def _leaf_values(tree: DistilledTree, X: np.ndarray) -> np.ndarray:
+    return tree.value[[_descend(tree, row)[0] for row in X]]
 
 
 def _row(tree: DistilledTree, umeta, rmeta) -> np.ndarray:
@@ -189,8 +195,8 @@ def _row(tree: DistilledTree, umeta, rmeta) -> np.ndarray:
 
 def tree_predict(tree: DistilledTree, umeta, rmeta) -> float:
     """Leaf value for the pair; grant iff the value exceeds 0.5."""
-    leaf, _ = _descend(tree.root, _row(tree, umeta, rmeta))
-    return leaf.value
+    leaf, _ = _descend(tree, _row(tree, umeta, rmeta))
+    return float(tree.value[leaf])
 
 
 @dataclass(frozen=True)
@@ -231,17 +237,18 @@ class ExtractedRule:
 
 def extract_rule(tree: DistilledTree, umeta, rmeta) -> ExtractedRule:
     """The conjunctive rule justifying the pair's leaf, intervals consolidated."""
-    leaf, path = _descend(tree.root, _row(tree, umeta, rmeta))
+    leaf, path = _descend(tree, _row(tree, umeta, rmeta))
     bounds: dict[str, tuple[float | None, float | None]] = {}
-    for node, went_left in path:
-        name = tree.feature_names[node.feature]
+    for k, went_left in path:
+        name = tree.feature_names[tree.feature[k]]
+        thr = float(tree.threshold[k])
         lo, hi = bounds.get(name, (None, None))
         if went_left:  # value <= threshold
-            hi = node.threshold if hi is None else min(hi, node.threshold)
+            hi = thr if hi is None else min(hi, thr)
         else:  # value > threshold
-            lo = node.threshold if lo is None else max(lo, node.threshold)
+            lo = thr if lo is None else max(lo, thr)
         bounds[name] = (lo, hi)
-    return ExtractedRule(bounds=bounds, leaf_value=leaf.value, leaf_count=leaf.count)
+    return ExtractedRule(bounds, float(tree.value[leaf]), int(tree.count[leaf]))
 
 
 def fidelity(
@@ -253,10 +260,8 @@ def fidelity(
     threshold: float = 0.5,
 ) -> float:
     """Fraction of tuples where tree and network agree after thresholding."""
-    probs = soft_labels(net, encoder, dataset, op)
-    net_dec = probs > threshold
-    X = np.hstack([dataset.umeta_matrix(), dataset.rmeta_matrix()]).astype(np.float64)
-    tree_dec = np.array([_descend(tree.root, row)[0].value > threshold for row in X])
+    net_dec = soft_labels(net, encoder, dataset, op) > threshold
+    tree_dec = _leaf_values(tree, _raw_matrix(dataset)) > threshold
     return float(np.mean(net_dec == tree_dec))
 
 
@@ -274,19 +279,17 @@ def save_tree(tree: DistilledTree) -> str:
         f"min_samples_leaf={tree.min_samples_leaf} mse={tree.mse!r}"
     ]
     lines.append("features " + " ".join(tree.feature_names))
-
-    def emit(node: TreeNode, indent: int):
-        pad = " " * indent
-        if node.is_leaf:
-            lines.append(f"{pad}leaf {node.value!r} {node.count}")
+    feature, threshold, right, value, count = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.right, tree.value, tree.count)
+    )
+    indent = [0] * len(feature)  # node depth; children follow their parent
+    for k, f in enumerate(feature):
+        pad = " " * indent[k]
+        if f < 0:
+            lines.append(f"{pad}leaf {value[k]!r} {count[k]}")
         else:
-            lines.append(
-                f"{pad}node {tree.feature_names[node.feature]} <= {node.threshold!r}"
-            )
-            emit(node.left, indent + 1)
-            emit(node.right, indent + 1)
-
-    emit(tree.root, 0)
+            lines.append(f"{pad}node {tree.feature_names[f]} <= {threshold[k]!r}")
+            indent[k + 1] = indent[right[k]] = indent[k] + 1
     return "\n".join(lines) + "\n"
 
 
@@ -309,34 +312,32 @@ def load_tree(text: str) -> DistilledTree:
     names = tuple(lines[1].split()[1:])
     name_index = {n: i for i, n in enumerate(names)}
 
-    pos = 2
-
-    def parse(indent: int) -> TreeNode:
-        nonlocal pos
-        if pos >= len(lines):
-            raise FormatError("truncated tree file")
-        line = lines[pos]
-        if len(line) - len(line.lstrip(" ")) != indent:
-            raise FormatError(f"bad indentation at tree line {pos + 1}")
+    nodes: list[list] = []
+    slots = [(None, 0)]  # (node whose right child comes here, depth) per pending node
+    for pos, line in enumerate(lines[2:], start=3):  # pos: 1-based line number
+        if not slots:
+            raise FormatError("trailing content after tree")
+        parent, depth = slots.pop()
+        if len(line) - len(line.lstrip(" ")) != depth:
+            raise FormatError(f"bad indentation at tree line {pos}")
+        if parent is not None:
+            parent[2] = len(nodes)
         toks = line.split()
-        pos += 1
-        if toks[0] == "leaf":
-            if len(toks) != 3:
-                raise FormatError(f"bad leaf at tree line {pos}")
-            return TreeNode(value=float(toks[1]), count=int(toks[2]))
-        if toks[0] == "node":
-            if len(toks) != 4 or toks[2] != "<=" or toks[1] not in name_index:
-                raise FormatError(f"bad node at tree line {pos}")
-            node = TreeNode(feature=name_index[toks[1]], threshold=float(toks[3]))
-            node.left = parse(indent + 1)
-            node.right = parse(indent + 1)
-            return node
-        raise FormatError(f"unknown tree entry at line {pos}")
-
-    try:
-        root = parse(0)
-    except ValueError:  # a leaf value, leaf count or node threshold that is not a number
-        raise FormatError(f"bad number at tree line {pos}") from None
-    if pos != len(lines):
-        raise FormatError("trailing content after tree")
-    return DistilledTree(root, op_index, max_depth, min_leaf, mse, names)
+        try:
+            if toks[0] == "leaf":
+                if len(toks) != 3:
+                    raise FormatError(f"bad leaf at tree line {pos}")
+                node = [-1, np.nan, -1, float(toks[1]), np.int64(toks[2])]
+            elif toks[0] == "node":
+                if len(toks) != 4 or toks[2] != "<=" or toks[1] not in name_index:
+                    raise FormatError(f"bad node at tree line {pos}")
+                node = [name_index[toks[1]], float(toks[3]), -1, np.nan, 0]
+                slots += [(node, depth + 1), (None, depth + 1)]  # left child's slot on top
+            else:
+                raise FormatError(f"unknown tree entry at line {pos}")
+        except (ValueError, OverflowError):  # not a number, or a count beyond int64
+            raise FormatError(f"bad number at tree line {pos}") from None
+        nodes.append(node)
+    if slots:
+        raise FormatError("truncated tree file")
+    return DistilledTree(*_node_arrays(nodes), op_index, max_depth, min_leaf, mse, names)

@@ -170,6 +170,8 @@ def load_encoder(text: str) -> Encoder:
             p, v, col = (int(t) for t in toks)
         except ValueError:
             raise FormatError(f"non-integer encoder entry {ln!r}") from None
+        if not 0 <= p < num_user_meta + num_res_meta:
+            raise FormatError(f"encoder entry {ln!r} names no metadata position")
         per_pos.setdefault(p, []).append((col, v))
     seen = []
     for p in range(num_user_meta + num_res_meta):

@@ -80,7 +80,6 @@ class TrainConfig:
     batch_size: int = 16
     early_stop_patience: int = 5
     class_weights: tuple[float, float] = (1.0, 1.0)  # (w_grant, w_deny)
-    threshold: float = 0.5
     val_fraction: float = 0.1
     shuffle_seed: int = 0
 
@@ -91,8 +90,6 @@ class TrainConfig:
             raise ConfigError("early_stop_patience must be >= 1")
         if not all(0.0 < w < np.inf for w in self.class_weights):
             raise ConfigError("class weights must be positive and finite")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must be strictly between 0 and 1")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in [0, 1)")
 

@@ -376,14 +376,9 @@ def test_criterion_08_insignificance_robustness(planted_models):
 # ---------------------------------------------------------------------------
 
 
-def _half_integer_thresholds(node):
-    if node.is_leaf:
-        return True
-    return (
-        node.threshold * 2 == round(node.threshold * 2)
-        and _half_integer_thresholds(node.left)
-        and _half_integer_thresholds(node.right)
-    )
+def _half_integer_thresholds(tree):
+    thresholds = tree.threshold[tree.feature >= 0]
+    return bool(np.all(thresholds * 2 == np.round(thresholds * 2)))
 
 
 def test_criterion_09_distillation_fidelity(full_scale):
@@ -400,9 +395,7 @@ def test_criterion_09_distillation_fidelity(full_scale):
     tree_full = d.distill(net, encoder, unique_train, 0, max_depth=None, min_samples_leaf=1)
     fid_full = d.fidelity(tree_full, net, encoder, unique_train, 0)
 
-    midpoints = _half_integer_thresholds(tree8.root) and _half_integer_thresholds(
-        tree_full.root
-    )
+    midpoints = _half_integer_thresholds(tree8) and _half_integer_thresholds(tree_full)
     rules_ok = True
     for t in unique_train.tuples[:50]:
         rule = d.extract_rule(tree8, t.umeta, t.rmeta)
@@ -448,10 +441,10 @@ def test_criterion_10_brute_force_split_oracle():
         tree = d.fit_tree(X, y, max_depth=1, min_samples_leaf=min_leaf)
         expect = _brute_force_split(X, y, min_leaf)
         if expect is None:
-            mismatches += not tree.root.is_leaf
+            mismatches += bool(tree.feature[0] != -1)
         else:
             _, f, thr = expect
-            mismatches += tree.root.feature != f or tree.root.threshold != thr
+            mismatches += bool(tree.feature[0] != f or tree.threshold[0] != thr)
     ok = mismatches == 0
     verdict(
         "criterion 10 brute-force split oracle", ok,

@@ -356,3 +356,8 @@ class TestIngestCsv:
         text = CSV_TEXT.replace("4,1", "4", 1)
         with pytest.raises(IngestError, match="row 4"):
             d.ingest_csv(text, self.schema)
+
+    def test_long_row_reports_row(self):
+        text = CSV_TEXT.replace("4,1", "4,1,7,8", 1)
+        with pytest.raises(IngestError, match="row 4: more cells"):
+            d.ingest_csv(text, self.schema)

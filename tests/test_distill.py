@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dlbac as d
 from dlbac.errors import ConfigError, FormatError
@@ -28,10 +30,12 @@ def brute_force_best_split(X, y, min_leaf):
     return best
 
 
-def collect_depth(node, depth=0):
-    if node.is_leaf:
-        return [depth]
-    return collect_depth(node.left, depth + 1) + collect_depth(node.right, depth + 1)
+def leaf_depths(tree):
+    depth = [0] * len(tree.feature)
+    for k, f in enumerate(tree.feature):
+        if f >= 0:
+            depth[k + 1] = depth[tree.right[k]] = depth[k] + 1
+    return [depth[k] for k, f in enumerate(tree.feature) if f < 0]
 
 
 class TestBestSplit:
@@ -40,23 +44,23 @@ class TestBestSplit:
         X = np.array([[1], [2], [3], [7], [8], [9]], dtype=float)
         y = np.array([0.1, 0.1, 0.1, 0.9, 0.9, 0.9])
         tree = d.fit_tree(X, y, max_depth=1, min_samples_leaf=1)
-        assert tree.root.threshold == 5.0
-        assert tree.root.left.value == pytest.approx(0.1)
-        assert tree.root.right.value == pytest.approx(0.9)
+        assert tree.threshold[0] == 5.0
+        assert tree.value[1] == pytest.approx(0.1)
+        assert tree.value[tree.right[0]] == pytest.approx(0.9)
 
     def test_threshold_is_half_integer_for_integer_metadata(self):
         X = np.array([[16], [17], [18], [19]], dtype=float)
         y = np.array([0.2, 0.2, 0.8, 0.8])
         tree = d.fit_tree(X, y, max_depth=1, min_samples_leaf=1)
-        assert tree.root.threshold == 17.5
+        assert tree.threshold[0] == 17.5
 
     def test_tie_breaks_to_lowest_feature_then_threshold(self):
         # both features separate y identically; feature 0 must win
         X = np.array([[0, 0], [0, 0], [1, 1], [1, 1]], dtype=float)
         y = np.array([0.0, 0.0, 1.0, 1.0])
         tree = d.fit_tree(X, y, max_depth=1, min_samples_leaf=1)
-        assert tree.root.feature == 0
-        assert tree.root.threshold == 0.5
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == 0.5
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force(self, seed):
@@ -69,11 +73,11 @@ class TestBestSplit:
         tree = d.fit_tree(X, y, max_depth=1, min_samples_leaf=min_leaf)
         expect = brute_force_best_split(X, y, min_leaf)
         if expect is None:
-            assert tree.root.is_leaf
+            assert tree.feature[0] == -1
         else:
             _, f, thr = expect
-            assert tree.root.feature == f
-            assert tree.root.threshold == pytest.approx(thr, abs=0)
+            assert tree.feature[0] == f
+            assert tree.threshold[0] == pytest.approx(thr, abs=0)
 
 
 class TestGrow:
@@ -82,28 +86,21 @@ class TestGrow:
         X = rng.integers(0, 20, size=(200, 3)).astype(float)
         y = rng.random(200)
         tree = d.fit_tree(X, y, max_depth=3, min_samples_leaf=1)
-        assert max(collect_depth(tree.root)) <= 3
+        assert max(leaf_depths(tree)) <= 3
 
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(2)
         X = rng.integers(0, 20, size=(100, 2)).astype(float)
         y = rng.random(100)
         tree = d.fit_tree(X, y, max_depth=None, min_samples_leaf=7)
-
-        def check(node):
-            if node.is_leaf:
-                assert node.count >= 7
-            else:
-                check(node.left)
-                check(node.right)
-
-        check(tree.root)
+        for count in tree.count[tree.feature == -1]:
+            assert count >= 7
 
     def test_pure_node_is_leaf(self):
         X = np.array([[0], [1], [2], [3]], dtype=float)
         tree = d.fit_tree(X, np.full(4, 0.5), max_depth=None, min_samples_leaf=1)
-        assert tree.root.is_leaf
-        assert tree.root.value == 0.5
+        assert tree.feature[0] == -1
+        assert tree.value[0] == 0.5
         assert tree.mse == 0.0
 
     def test_unlimited_depth_on_distinct_rows_reaches_zero_mse(self):
@@ -116,8 +113,8 @@ class TestGrow:
         X = np.array([[0], [0], [9], [9]], dtype=float)
         y = np.array([0.7, 0.9, 0.1, 0.1])
         tree = d.fit_tree(X, y, max_depth=1, min_samples_leaf=1)
-        assert tree.root.left.value == pytest.approx(0.8)
-        assert tree.root.left.count == 2
+        assert tree.value[1] == pytest.approx(0.8)
+        assert tree.count[1] == 2
 
 
 class TestPredictAndRules:
@@ -166,13 +163,15 @@ class TestPredictAndRules:
 
     def test_consolidated_interval(self):
         # path umeta0 <= 10 then umeta0 > 2 must read 2 < umeta0 <= 10
-        left = d.TreeNode(value=0.1, count=1)
-        inner_right = d.TreeNode(value=0.9, count=1)
-        inner = d.TreeNode(feature=0, threshold=2.0, left=left, right=inner_right)
-        root = d.TreeNode(
-            feature=0, threshold=10.0, left=inner, right=d.TreeNode(value=0.0, count=1)
+        tree = d.load_tree(
+            "dlbac-tree v1 op=0 max_depth=8 min_samples_leaf=1 mse=0.0\n"
+            "features umeta0\n"
+            "node umeta0 <= 10.0\n"
+            " node umeta0 <= 2.0\n"
+            "  leaf 0.1 1\n"
+            "  leaf 0.9 1\n"
+            " leaf 0.0 1\n"
         )
-        tree = d.DistilledTree(root, 0, 8, 1, 0.0, ("umeta0",))
         rule = d.extract_rule(tree, (5,), ())
         assert rule.bounds == {"umeta0": (2.0, 10.0)}
         assert rule.text() == "2 < umeta0 <= 10"
@@ -269,6 +268,7 @@ class TestPersistence:
         [
             ("node umeta0 <= 0.5", "leaf x 1"),
             ("node umeta0 <= 0.5", "leaf 0.1 many"),
+            ("node umeta0 <= 0.5", "leaf 0.1 99999999999999999999"),
             ("node umeta0 <= half", "leaf 0.1 1"),
         ],
     )
@@ -279,3 +279,63 @@ class TestPersistence:
         )
         with pytest.raises(FormatError, match="tree line"):
             d.load_tree(text)
+
+
+def chain_tree_text(levels):
+    """A valid tree file whose node k tests umeta0 <= k + 0.5, right child deepest."""
+    lines = [
+        "dlbac-tree v1 op=0 max_depth=none min_samples_leaf=1 mse=0.0",
+        "features umeta0",
+    ]
+    for k in range(levels):
+        lines.append(" " * k + f"node umeta0 <= {k + 0.5!r}")
+        lines.append(" " * (k + 1) + f"leaf {k / levels!r} {k + 1}")
+    lines.append(" " * levels + f"leaf 1.0 {levels + 1}")
+    return "\n".join(lines) + "\n"
+
+
+class TestDeepTree:
+    LEVELS = 2500  # well past Python's default recursion limit of 1000
+
+    def test_chain_loads_and_saves_back_unchanged(self):
+        text = chain_tree_text(self.LEVELS)
+        tree = d.load_tree(text)
+        assert len(tree.feature) == 2 * self.LEVELS + 1
+        assert d.save_tree(tree) == text
+
+    def test_chain_answers_predict_and_rules(self):
+        tree = d.load_tree(chain_tree_text(self.LEVELS))
+        assert d.tree_predict(tree, (self.LEVELS + 7,), ()) == 1.0
+        rule = d.extract_rule(tree, (2000,), ())
+        assert rule.bounds == {"umeta0": (1999.5, 2000.5)}
+        assert rule.leaf_value == 2000 / self.LEVELS
+        assert rule.leaf_count == 2001
+
+
+def _small_tree_text():
+    X = np.array([[1, 10], [2, 10], [3, 20], [7, 10], [8, 20], [9, 20]], dtype=float)
+    y = np.array([0.1, 0.2, 0.3, 0.8, 0.9, 0.7])
+    tree = d.fit_tree(X, y, max_depth=3, min_samples_leaf=1, feature_names=("umeta0", "rmeta0"))
+    return d.save_tree(tree)
+
+
+SMALL_TREE_TEXT = _small_tree_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cut=st.integers(0, len(SMALL_TREE_TEXT)),
+    at=st.integers(0, len(SMALL_TREE_TEXT) - 1),
+    char=st.characters(min_codepoint=9, max_codepoint=126),
+    truncate=st.booleans(),
+)
+def test_damaged_tree_file_loads_or_raises_format_error(cut, at, char, truncate):
+    if truncate:
+        text = SMALL_TREE_TEXT[:cut]
+    else:
+        text = SMALL_TREE_TEXT[:at] + char + SMALL_TREE_TEXT[at + 1 :]
+    try:
+        tree = d.load_tree(text)
+    except FormatError:
+        return
+    assert isinstance(tree, d.DistilledTree)

@@ -128,6 +128,13 @@ class TestPersistence:
         with pytest.raises(FormatError, match="ascending"):
             d.load_encoder(text)
 
+    @pytest.mark.parametrize("entry", ["99 4 0", "-1 2 0", "2 7 0"])
+    def test_position_out_of_range_rejected(self, entry):
+        # positions are 0 and 1 only; any other entry used to be dropped silently
+        text = f"dlbac-encoder v1 onehot 1 1\n0 5 0\n1 3 0\n{entry}\n"
+        with pytest.raises(FormatError, match="position"):
+            d.load_encoder(text)
+
     def test_missing_position_detected(self):
         text = "dlbac-encoder v1 onehot 1 1\n0 5 0\n"
         with pytest.raises(FormatError, match="position 1"):
