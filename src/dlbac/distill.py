@@ -311,6 +311,8 @@ def load_tree(text: str) -> DistilledTree:
         raise FormatError("missing tree feature names")
     names = tuple(lines[1].split()[1:])
     name_index = {n: i for i, n in enumerate(names)}
+    if len(name_index) != len(names):
+        raise FormatError("repeated tree feature name")
 
     nodes: list[list] = []
     slots = [(None, 0)]  # (node whose right child comes here, depth) per pending node
@@ -328,6 +330,8 @@ def load_tree(text: str) -> DistilledTree:
                 if len(toks) != 3:
                     raise FormatError(f"bad leaf at tree line {pos}")
                 node = [-1, np.nan, -1, float(toks[1]), np.int64(toks[2])]
+                if node[4] < 0:
+                    raise FormatError(f"bad number at tree line {pos}")
             elif toks[0] == "node":
                 if len(toks) != 4 or toks[2] != "<=" or toks[1] not in name_index:
                     raise FormatError(f"bad node at tree line {pos}")

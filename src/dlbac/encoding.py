@@ -92,22 +92,19 @@ def _dense_columns(encoder: Encoder, position: int, values: np.ndarray) -> np.nd
     return np.where(known, pos_clipped, len(seen))
 
 
-def encode_matrix(encoder: Encoder, U: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Vectorized encoding of row-aligned user/resource metadata matrices."""
-    U = np.asarray(U, dtype=np.int64)
-    R = np.asarray(R, dtype=np.int64)
-    if U.shape[1] != encoder.num_user_meta or R.shape[1] != encoder.num_res_meta:
-        raise ConfigError("metadata matrix width does not match encoder positions")
-    if U.shape[0] != R.shape[0]:
-        raise ConfigError("user and resource matrices must have equal row counts")
-    n = U.shape[0]
-    X = np.zeros((n, encoder.width), dtype=np.float64)
+def _encode_into(encoder: Encoder, X: np.ndarray, M: np.ndarray, first: int) -> None:
+    """Write the blocks of positions first, first+1, ... (one per column of M) into X.
+
+    X holds exactly those blocks, so its column 0 is where position `first` starts.
+    """
     spans = encoder.field_spans
-    rows = np.arange(n)
-    for p in range(encoder.num_positions):
-        col_vals = U[:, p] if p < encoder.num_user_meta else R[:, p - encoder.num_user_meta]
-        dense = _dense_columns(encoder, p, col_vals)
+    offset = spans[first][0] if M.shape[1] else 0
+    rows = np.arange(M.shape[0])
+    for j in range(M.shape[1]):
+        p = first + j
+        dense = _dense_columns(encoder, p, M[:, j])
         start, width = spans[p]
+        start -= offset
         if encoder.scheme == "onehot":
             X[rows, start + dense] = 1.0
         else:
@@ -116,7 +113,47 @@ def encode_matrix(encoder: Encoder, U: np.ndarray, R: np.ndarray) -> np.ndarray:
             idx = np.where(dense < card, dense + 1, 0)
             for bit in range(width):
                 X[:, start + bit] = (idx >> bit) & 1
+
+
+def _user_width(encoder: Encoder) -> int:
+    return sum(encoder.block_widths[: encoder.num_user_meta])
+
+
+def encode_matrix(encoder: Encoder, U: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Vectorized encoding of row-aligned user/resource metadata matrices."""
+    U = np.asarray(U, dtype=np.int64)
+    R = np.asarray(R, dtype=np.int64)
+    if U.shape[1] != encoder.num_user_meta or R.shape[1] != encoder.num_res_meta:
+        raise ConfigError("metadata matrix width does not match encoder positions")
+    if U.shape[0] != R.shape[0]:
+        raise ConfigError("user and resource matrices must have equal row counts")
+    X = np.zeros((U.shape[0], encoder.width), dtype=np.float64)
+    split = _user_width(encoder)
+    _encode_into(encoder, X[:, :split], U, 0)
+    _encode_into(encoder, X[:, split:], R, encoder.num_user_meta)
     return X
+
+
+def _encode_half(encoder: Encoder, M: np.ndarray, first: int, count: int, width: int):
+    M = np.asarray(M, dtype=np.int64)
+    if M.ndim != 2 or M.shape[1] != count:
+        raise ConfigError("metadata matrix width does not match encoder positions")
+    X = np.zeros((M.shape[0], width), dtype=np.float64)
+    _encode_into(encoder, X, M, first)
+    return X
+
+
+def encode_users(encoder: Encoder, U: np.ndarray) -> np.ndarray:
+    """The user columns of `encode_matrix`, one row per row of U."""
+    return _encode_half(encoder, U, 0, encoder.num_user_meta, _user_width(encoder))
+
+
+def encode_resources(encoder: Encoder, R: np.ndarray) -> np.ndarray:
+    """The resource columns of `encode_matrix`, one row per row of R."""
+    split = _user_width(encoder)
+    return _encode_half(
+        encoder, R, encoder.num_user_meta, encoder.num_res_meta, encoder.width - split
+    )
 
 
 def encode_pair(encoder: Encoder, umeta, rmeta) -> np.ndarray:
@@ -157,10 +194,14 @@ def load_encoder(text: str) -> Encoder:
     if parts[:2] != ["dlbac-encoder", "v1"] or len(parts) != 5:
         raise FormatError(f"bad encoder header {lines[0]!r}")
     scheme = parts[2]
+    if scheme not in SCHEMES:
+        raise FormatError(f"unknown encoding scheme {scheme!r}")
     try:
         num_user_meta, num_res_meta = int(parts[3]), int(parts[4])
     except ValueError:
         raise FormatError("non-integer encoder header field") from None
+    if num_user_meta < 0 or num_res_meta < 0:
+        raise FormatError("negative metadata count in encoder header")
     per_pos: dict[int, list[tuple[int, int]]] = {}
     for ln in lines[1:]:
         toks = ln.split()

@@ -4,6 +4,10 @@ The wire protocol is newline-delimited ASCII over TCP: `DECIDE <uid> <rid>
 <op>` answers `GRANT <prob>` or `DENY <prob>` (six decimals), `PING` answers
 `PONG`, anything else answers `ERR <reason>`.  Every input line yields
 exactly one reply line and request errors never terminate the server.
+
+A store encodes each user's and each resource's metadata block once per
+encoder, on the first decision that encoder asks of it, so a decision is a
+row lookup, one concatenation and `forward`.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .encoding import Encoder, encode_pair
+from .encoding import Encoder, encode_resources, encode_users
 from .errors import ConfigError, ConflictError, NotFoundError
 from .neuralnet import Network, forward
 
@@ -26,6 +30,18 @@ class Decision:
     probability: float
     granted: bool
     threshold: float
+
+
+def _find(table: dict, key: int, kind: str):
+    try:
+        return table[key]
+    except KeyError:
+        raise NotFoundError(f"unknown {kind} {key}") from None
+
+
+def _encode_rows(encode, encoder: Encoder, table: dict[int, tuple[int, ...]], width: int):
+    M = np.array(list(table.values()), dtype=np.int64).reshape(len(table), width)
+    return dict(zip(table, encode(encoder, M)))
 
 
 class MetadataStore:
@@ -42,18 +58,30 @@ class MetadataStore:
         self.num_res_meta = num_res_meta
         self._users = dict(users)
         self._resources = dict(resources)
+        # (encoder, uid -> user block, rid -> resource block), replaced whole
+        self._rows = None
 
     def lookup_user(self, uid: int) -> tuple[int, ...]:
-        try:
-            return self._users[uid]
-        except KeyError:
-            raise NotFoundError(f"unknown user {uid}") from None
+        return _find(self._users, uid, "user")
 
     def lookup_resource(self, rid: int) -> tuple[int, ...]:
-        try:
-            return self._resources[rid]
-        except KeyError:
-            raise NotFoundError(f"unknown resource {rid}") from None
+        return _find(self._resources, rid, "resource")
+
+    def rows(self, encoder: Encoder) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+        """uid -> encoded user block and rid -> encoded resource block.
+
+        Built on the first call with an encoder and kept until a call with a
+        different encoder object; the rows are `encode_matrix`'s own columns.
+        """
+        rows = self._rows
+        if rows is None or rows[0] is not encoder:
+            rows = (
+                encoder,
+                _encode_rows(encode_users, encoder, self._users, self.num_user_meta),
+                _encode_rows(encode_resources, encoder, self._resources, self.num_res_meta),
+            )
+            self._rows = rows
+        return rows[1], rows[2]
 
     @property
     def user_ids(self) -> list[int]:
@@ -86,9 +114,10 @@ def build_store(dataset: Dataset) -> MetadataStore:
 def _probabilities(
     net: Network, encoder: Encoder, store: MetadataStore, uid: int, rid: int
 ) -> np.ndarray:
-    """The one decision path: lookup, encode, forward; one probability per op."""
-    x = encode_pair(encoder, store.lookup_user(uid), store.lookup_resource(rid))
-    return forward(net, x)
+    """The one decision path: two encoded rows, joined, forward; one probability per op."""
+    users, resources = store.rows(encoder)
+    user, resource = _find(users, uid, "user"), _find(resources, rid, "resource")
+    return forward(net, np.concatenate((user, resource)))
 
 
 def decide(

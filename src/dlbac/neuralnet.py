@@ -379,9 +379,12 @@ def load_model(text: str) -> Network:
         raise FormatError("non-integer width") from None
     if len(widths) < 2:
         raise FormatError("model needs at least input and output widths")
-    config = NetworkConfig(
-        input_width=widths[0], num_ops=widths[-1], hidden_layers=tuple(widths[1:-1])
-    )
+    try:
+        config = NetworkConfig(
+            input_width=widths[0], num_ops=widths[-1], hidden_layers=tuple(widths[1:-1])
+        )
+    except ConfigError as exc:
+        raise FormatError(f"bad widths line: {exc}") from None
 
     # every value takes a token and a separator: reject before allocating
     if 2 * config.num_params > len(text):
@@ -416,5 +419,5 @@ def _hex_floats(line: str, count: int, i: int) -> list[float]:
         raise FormatError(f"line {i + 1}: expected {count} values")
     try:
         return [float.fromhex(t) for t in toks]
-    except ValueError:
+    except (ValueError, OverflowError):  # not a hex float, or beyond float64
         raise FormatError(f"line {i + 1}: bad float literal") from None

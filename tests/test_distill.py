@@ -263,12 +263,24 @@ class TestPersistence:
         with pytest.raises(FormatError):
             d.load_tree(text)
 
+    def test_repeated_feature_name_rejected(self):
+        text = (
+            "dlbac-tree v1 op=0 max_depth=1 min_samples_leaf=1 mse=0.0\n"
+            "features umeta0 umeta0\n"
+            "node umeta0 <= 0.5\n"
+            " leaf 0.1 1\n"
+            " leaf 0.9 1\n"
+        )
+        with pytest.raises(FormatError, match="repeated"):
+            d.load_tree(text)
+
     @pytest.mark.parametrize(
         "node, leaf",
         [
             ("node umeta0 <= 0.5", "leaf x 1"),
             ("node umeta0 <= 0.5", "leaf 0.1 many"),
             ("node umeta0 <= 0.5", "leaf 0.1 99999999999999999999"),
+            ("node umeta0 <= 0.5", "leaf 0.1 -5"),
             ("node umeta0 <= half", "leaf 0.1 1"),
         ],
     )

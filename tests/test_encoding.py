@@ -135,6 +135,15 @@ class TestPersistence:
         with pytest.raises(FormatError, match="position"):
             d.load_encoder(text)
 
+    @pytest.mark.parametrize(
+        "header, match",
+        [("dlbac-encoder v1 onehob 1 1", "scheme"), ("dlbac-encoder v1 onehot -1 2", "negative")],
+    )
+    def test_bad_header_field_rejected(self, header, match):
+        # neither may escape as ConfigError or load an encoder with -1 user positions
+        with pytest.raises(FormatError, match=match):
+            d.load_encoder(f"{header}\n0 5 0\n1 3 0\n")
+
     def test_missing_position_detected(self):
         text = "dlbac-encoder v1 onehot 1 1\n0 5 0\n"
         with pytest.raises(FormatError, match="position 1"):
@@ -175,3 +184,31 @@ def test_onehot_encoding_is_injective_on_training_rows(dset):
     X = d.encode_dataset(enc, dset)
     metas = {(t.umeta, t.rmeta) for t in dset.tuples}
     assert len({tuple(row) for row in X}) == len(metas)
+
+
+SMALL_ENCODER_TEXTS = {
+    scheme: d.save_encoder(d.build_encoder(tiny_dataset(), scheme))
+    for scheme in ("onehot", "binary")
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scheme=st.sampled_from(sorted(SMALL_ENCODER_TEXTS)),
+    cut=st.integers(0, 200),
+    at=st.integers(0, 200),
+    char=st.characters(min_codepoint=9, max_codepoint=126),
+    truncate=st.booleans(),
+)
+def test_damaged_encoder_file_loads_or_raises_format_error(scheme, cut, at, char, truncate):
+    base = SMALL_ENCODER_TEXTS[scheme]
+    at %= len(base)
+    if truncate:
+        text = base[:cut]
+    else:
+        text = base[:at] + char + base[at + 1 :]
+    try:
+        enc = d.load_encoder(text)
+    except FormatError:
+        return
+    assert isinstance(enc, d.Encoder)

@@ -1,4 +1,6 @@
 import socket
+import sys
+import threading
 
 import pytest
 
@@ -84,6 +86,109 @@ class TestDecide:
     def test_format(self):
         assert d.format_decision(d.Decision(0, 0.8312999, True, 0.5)) == "GRANT 0.831300"
         assert d.format_decision(d.Decision(1, 0.25, False, 0.5)) == "DENY 0.250000"
+
+
+@pytest.fixture(scope="module")
+def unseen_setup():
+    """A store whose later entities hold metadata values the encoders never saw."""
+    cfg = d.SynthConfig(
+        num_users=20, num_resources=20, num_user_meta=3, num_res_meta=3,
+        num_rules=3, num_ops=2, value_set_sizes=(9,) * 6, seed=4,
+        visible_user_meta=3, visible_res_meta=3, neg_ratio=1.0,
+    )
+    dset, *_ = d.synthesize(cfg)
+    seen = d.Dataset(3, 3, 2, dset.tuples[: len(dset.tuples) // 4])
+    pairs = []
+    for seed, scheme in enumerate(("onehot", "binary")):
+        enc = d.build_encoder(seen, scheme)
+        pairs.append((d.init_network(d.NetworkConfig(enc.width, 2, (8,), init_seed=seed)), enc))
+    return pairs, d.build_store(dset)
+
+
+def _reference(net, enc, store, uid, rid):
+    x = d.encode_pair(enc, store.lookup_user(uid), store.lookup_resource(rid))
+    return d.forward(net, x)
+
+
+class TestPreEncodedRows:
+    def test_store_holds_unseen_values(self, unseen_setup):
+        pairs, store = unseen_setup
+        enc = pairs[0][1]
+        user_seen, res_seen = enc.seen_values[:3], enc.seen_values[3:]
+        assert any(v not in seen for u in store.user_ids
+                   for v, seen in zip(store.lookup_user(u), user_seen))
+        assert any(v not in seen for r in store.resource_ids
+                   for v, seen in zip(store.lookup_resource(r), res_seen))
+
+    def test_decisions_are_bit_exact_for_every_pair(self, unseen_setup):
+        pairs, store = unseen_setup
+        # onehot, binary, onehot again: the store's rows must follow the encoder
+        for net, enc in (pairs[0], pairs[1], pairs[0]):
+            for uid in store.user_ids:
+                for rid in store.resource_ids:
+                    ref = _reference(net, enc, store, uid, rid)
+                    decs = d.decide_all(net, enc, store, uid, rid)
+                    assert [x.probability for x in decs] == [float(p) for p in ref]
+                    for op in range(net.config.num_ops):
+                        assert d.decide(net, enc, store, uid, rid, op).probability == float(ref[op])
+
+    def test_rows_follow_the_encoder_object(self, unseen_setup):
+        pairs, store = unseen_setup
+        (_, onehot), (_, binary) = pairs
+        uid = store.user_ids[0]
+        assert store.rows(onehot)[0][uid].shape != store.rows(binary)[0][uid].shape
+        users, resources = store.rows(onehot)
+        assert store.rows(onehot)[0] is users and store.rows(onehot)[1] is resources
+
+    def test_threads_alternating_encoders_stay_bit_exact(self, unseen_setup):
+        # the server's threads share one store; a torn cache would pair one
+        # encoder's rows with the other encoder's network
+        pairs, store = unseen_setup
+        ids = [(u, r) for u in store.user_ids[:6] for r in store.resource_ids[:6]]
+        expected = [{p: _reference(*pair, store, *p).tolist() for p in ids} for pair in pairs]
+        wrong = []
+
+        def worker(k):
+            for i in range(120):
+                which = (i + k) % 2
+                net, enc = pairs[which]
+                uid, rid = ids[(7 * i + k) % len(ids)]
+                try:
+                    got = [x.probability for x in d.decide_all(net, enc, store, uid, rid)]
+                except Exception as exc:  # a dying thread would otherwise go unseen
+                    got = repr(exc)
+                if got != expected[which][(uid, rid)]:
+                    wrong.append((k, i, got))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_errors_unchanged(self, unseen_setup):
+        pairs, store = unseen_setup
+        net, enc = pairs[0]
+        uid, rid = store.user_ids[0], store.resource_ids[0]
+        with pytest.raises(NotFoundError, match="^unknown user 999999$"):
+            d.decide(net, enc, store, 999999, 999998, 0)
+        with pytest.raises(NotFoundError, match="^unknown resource 999998$"):
+            d.decide_all(net, enc, store, uid, 999998)
+        with pytest.raises(ConfigError, match="^operation index 2 out of range$"):
+            d.decide(net, enc, store, 999999, 999998, 2)
+        assert handle_line(f"DECIDE 999999 {rid} 0", net, enc, store, 0.5) == (
+            "ERR unknown user 999999"
+        )
+        assert handle_line(f"DECIDE {uid} {rid} -1", net, enc, store, 0.5) == (
+            "ERR operation index -1 out of range"
+        )
 
 
 class TestProtocolLines:

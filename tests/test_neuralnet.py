@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dlbac as d
 from dlbac.errors import ConfigError, FormatError
@@ -388,10 +390,43 @@ class TestPersistence:
         with pytest.raises(FormatError):
             d.load_model("dlbac-model v1\nwidths 1000000000 1000000 1\n")
 
+    @pytest.mark.parametrize("widths", ["3 0 2", "0 4 2", "3 4 -2"])
+    def test_non_positive_width_rejected(self, widths):
+        text = d.save_model(tiny_net()).replace("widths 3 4 2", f"widths {widths}")
+        with pytest.raises(FormatError, match="widths"):
+            d.load_model(text)
+
+    def test_float_beyond_float64_rejected(self):
+        text = d.save_model(tiny_net()).replace("p-", "p+9999", 1)
+        with pytest.raises(FormatError, match="bad float"):
+            d.load_model(text)
+
     def test_bad_float_literal(self):
         text = d.save_model(tiny_net()).replace("0x1.", "0y1.", 1)
         with pytest.raises(FormatError):
             d.load_model(text)
+
+
+SMALL_MODEL_TEXT = d.save_model(tiny_net(input_width=3, num_ops=2, hidden=(2,), seed=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cut=st.integers(0, len(SMALL_MODEL_TEXT)),
+    at=st.integers(0, len(SMALL_MODEL_TEXT) - 1),
+    char=st.characters(min_codepoint=9, max_codepoint=126),
+    truncate=st.booleans(),
+)
+def test_damaged_model_file_loads_or_raises_format_error(cut, at, char, truncate):
+    if truncate:
+        text = SMALL_MODEL_TEXT[:cut]
+    else:
+        text = SMALL_MODEL_TEXT[:at] + char + SMALL_MODEL_TEXT[at + 1 :]
+    try:
+        net = d.load_model(text)
+    except FormatError:
+        return
+    assert isinstance(net, d.Network)
 
 
 def test_sigmoid_stable_at_extremes():
