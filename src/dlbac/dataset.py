@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -562,10 +563,26 @@ def _cell_int(row: dict, col: str, row_no: int) -> int:
         ) from None
 
 
+def _csv_rows(reader: csv.DictReader):
+    """(row number, row) for each record after the header, which is row 1."""
+    for row_no in itertools.count(2):
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:  # e.g. an oversized field or a bare carriage return
+            raise IngestError(f"row {row_no}: {exc}") from None
+        if row is None:
+            return
+        yield row_no, row
+
+
 def ingest_csv(text: str, schema: CsvSchema) -> Dataset:
     """Build a Dataset from an RFC-4180 CSV with a header row."""
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+    try:
+        fieldnames = reader.fieldnames
+    except csv.Error as exc:
+        raise IngestError(f"row 1: {exc}") from None
+    if fieldnames is None:
         raise IngestError("missing CSV header row")
     needed = (
         set(schema.user_meta_cols)
@@ -573,13 +590,13 @@ def ingest_csv(text: str, schema: CsvSchema) -> Dataset:
         | {schema.resource_id_col}
         | set(schema.label_cols)
     )
-    missing = needed - set(reader.fieldnames)
+    missing = needed - set(fieldnames)
     if missing:
         raise IngestError(f"missing column(s): {', '.join(sorted(missing))}")
 
     uid_of: dict[tuple[int, ...], int] = {}
     records: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
-    for row_no, row in enumerate(reader, start=2):  # header is row 1
+    for row_no, row in _csv_rows(reader):
         if None in row:  # DictReader's key for cells beyond the header
             raise IngestError(f"row {row_no}: more cells than header columns")
         umeta = tuple(_cell_int(row, c, row_no) for c in schema.user_meta_cols)

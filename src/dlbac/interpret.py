@@ -1,8 +1,10 @@
 """Integrated-gradients attribution plus metadata-flipping experiments.
 
 Attribution uses a right-Riemann approximation of the path integral from an
-all-zero baseline (no category active), with gradients streamed one step at
-a time.  Per-metadata scores sum absolute per-feature scores over the
+all-zero baseline (no category active).  Layer 0 is linear along the path,
+so it is applied to the input and the baseline once per call; every (step,
+row) pair then goes through the remaining layers in bounded batches.
+Per-metadata scores sum absolute per-feature scores over the
 metadata's encoder block and are normalized by the maximum block score, so
 a block with zero attribution keeps an exact 0.0 (read as "no impact").
 """
@@ -17,8 +19,10 @@ from .dataset import AuthorizationTuple, Dataset
 from .encoding import Encoder, encode_matrix, encode_pair
 from .engine import MetadataStore
 from .errors import ConfigError
-from .neuralnet import Network, forward, input_gradient
+from .neuralnet import Network, _dprob_dz0, _rows, forward
 from .rng import SplitMix64
+
+IG_CHUNK_ROWS = 1024  # (step, row) pairs per batched pass through layers 1..L
 
 
 @dataclass(frozen=True)
@@ -40,21 +44,39 @@ class FlipCurve:
 def integrated_gradients(
     net: Network, x: np.ndarray, baseline: np.ndarray, op: int, steps: int
 ) -> np.ndarray:
-    """Per-feature attribution of the op's probability against the baseline."""
-    x = np.asarray(x, dtype=np.float64)
-    baseline = np.asarray(baseline, dtype=np.float64)
-    if x.shape != baseline.shape:
+    """Per-feature attribution of the op's probability against the baseline.
+
+    Right-Riemann sum over alpha = k/steps, k = 1..steps, on the path
+    B + alpha*D with D = X - B.  Layer 0 is linear in alpha, so its
+    pre-activation is (B W0 + b0) + alpha*(D W0), and the summed input
+    gradient is (sum_k dP/dz0_k) W0^T: W0 takes part three times per call,
+    whatever `steps` is.  The (step, row) pairs go through the other layers
+    in batches of at most IG_CHUNK_ROWS rows, so memory does not grow with
+    `steps` either.
+    """
+    X, single = _rows(net, x)
+    B, _ = _rows(net, baseline)
+    if X.shape != B.shape:
         raise ConfigError("input and baseline widths differ")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    B = baseline[None, :] if single else baseline
-    diff = X - B
-    total = np.zeros_like(X)
-    for k in range(1, steps + 1):
-        total += input_gradient(net, B + (k / steps) * diff, op)
-    scores = diff * total / steps
+    if not 0 <= op < net.config.num_ops:
+        raise ConfigError(f"op index {op} out of range")
+    W0 = net.weights[0]
+    D = X - B
+    base = B @ W0 + net.biases[0]
+    slope = D @ W0
+    total = np.zeros_like(base)  # sum over steps of dP/dz0
+    rows = max(1, min(X.shape[0], IG_CHUNK_ROWS))
+    per = IG_CHUNK_ROWS // rows  # steps per batch
+    for r in range(0, X.shape[0], rows):
+        b, s = base[r : r + rows], slope[r : r + rows]
+        for k in range(1, steps + 1, per):
+            alphas = np.arange(k, min(k + per, steps + 1)) / steps
+            z0 = (b + alphas[:, None, None] * s).reshape(-1, W0.shape[1])
+            dz0 = _dprob_dz0(net, z0, op).reshape(len(alphas), -1, W0.shape[1])
+            total[r : r + rows] += dz0.sum(axis=0)
+    scores = D * (total @ W0.T) / steps
     return scores[0] if single else scores
 
 

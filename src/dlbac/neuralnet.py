@@ -145,15 +145,23 @@ def _forward_cache(net: Network, X: np.ndarray):
     return acts, zs
 
 
-def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """Grant probabilities, one per operation. Accepts a vector or a matrix."""
+def _rows(net: Network, x) -> tuple[np.ndarray, bool]:
+    """`x` as a float64 matrix of finite inputs to `net`, and whether it was one vector."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ConfigError("non-finite network input")
+    if x.ndim not in (1, 2):
+        raise ConfigError("network input must be a vector or a matrix")
     single = x.ndim == 1
     X = x[None, :] if single else x
     if X.shape[1] != net.config.input_width:
         raise ConfigError("input width does not match the network")
+    return X, single
+
+
+def forward(net: Network, x: np.ndarray) -> np.ndarray:
+    """Grant probabilities, one per operation. Accepts a vector or a matrix."""
+    X, single = _rows(net, x)
     acts, _ = _forward_cache(net, X)
     probs = acts[-1]
     return probs[0] if single else probs
@@ -213,20 +221,30 @@ def backward(
     return grad.weights, grad.biases
 
 
-def input_gradient(net: Network, x: np.ndarray, op_index: int) -> np.ndarray:
-    """d(probability of op)/d(input), exact, via the same graph as forward."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if not 0 <= op_index < net.config.num_ops:
-        raise ConfigError(f"op index {op_index} out of range")
-    acts, zs = _forward_cache(net, X)
-    probs = acts[-1]
+def _dprob_dz0(net: Network, z0: np.ndarray, op_index: int) -> np.ndarray:
+    """d(probability of op)/d(layer-0 pre-activation), one row per row of `z0`.
+
+    Runs layers 1..L forward from `z0`, then backprop down to layer 0, with
+    the same operations as `_forward_cache`.
+    """
+    zs = [z0]
+    for W, b in zip(net.weights[1:], net.biases[1:]):
+        zs.append(np.maximum(zs[-1], 0.0) @ W + b)
+    probs = _sigmoid(zs[-1])
     delta = np.zeros_like(probs)
     delta[:, op_index] = probs[:, op_index] * (1.0 - probs[:, op_index])
     for l in range(len(net.weights) - 1, 0, -1):
         delta = (delta @ net.weights[l].T) * (zs[l - 1] > 0.0)
-    grad = delta @ net.weights[0].T
+    return delta
+
+
+def input_gradient(net: Network, x: np.ndarray, op_index: int) -> np.ndarray:
+    """d(probability of op)/d(input), exact, via the same graph as forward."""
+    X, single = _rows(net, x)
+    if not 0 <= op_index < net.config.num_ops:
+        raise ConfigError(f"op index {op_index} out of range")
+    W0 = net.weights[0]
+    grad = _dprob_dz0(net, X @ W0 + net.biases[0], op_index) @ W0.T
     return grad[0] if single else grad
 
 

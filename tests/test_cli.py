@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dlbac as d
-from dlbac.cli import main, read_config
+from dlbac.cli import _synth_config, main, read_config
 from dlbac.errors import ConfigError
 
 SYNTH_CFG = """\
@@ -94,6 +96,27 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "num_users" in err
         assert err.count("\n") == 1
+
+
+class TestIngest:
+    SCHEMA_CFG = "user_meta_cols = dept, level\nresource_id_col = RESOURCE\nlabel_cols = ACTION\n"
+
+    def run(self, tmp_path, csv_text):
+        (tmp_path / "schema.cfg").write_text(self.SCHEMA_CFG)
+        (tmp_path / "in.csv").write_text(csv_text)
+        return main(["ingest", "--csv", str(tmp_path / "in.csv"),
+                     "--config", str(tmp_path / "schema.cfg"),
+                     "--out", str(tmp_path / "out.txt")])
+
+    def test_writes_parsable_dataset(self, tmp_path):
+        assert self.run(tmp_path, "dept,level,RESOURCE,ACTION\n3,1,900,1\n4,1,901,0\n") == 0
+        assert len(d.parse_dataset((tmp_path / "out.txt").read_text()).tuples) == 2
+
+    def test_oversized_field_is_single_line_error(self, tmp_path, capsys):
+        text = "dept,level,RESOURCE,ACTION\n3,1,900,1\n4,1," + "9" * 200_000 + ",0\n"
+        assert self.run(tmp_path, text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 3: field larger") and err.count("\n") == 1
 
 
 class TestTrain:
@@ -290,3 +313,32 @@ class TestTopLevel:
                    "--out", "x.csv"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def cfg_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("cfg") / "synth.cfg"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cut=st.integers(0, 400),
+    at=st.integers(0, 400),
+    # weighted toward separators and line breaks, where parsers go wrong
+    char=st.one_of(
+        st.sampled_from("\r\n\t ,|=#\"-"), st.characters(min_codepoint=9, max_codepoint=126)
+    ),
+    truncate=st.booleans(),
+)
+def test_damaged_synth_config_loads_or_raises_dlbac_error(cfg_path, cut, at, char, truncate):
+    if truncate:
+        text = SYNTH_CFG[:cut]
+    else:
+        at %= len(SYNTH_CFG)
+        text = SYNTH_CFG[:at] + char + SYNTH_CFG[at + 1 :]
+    cfg_path.write_text(text)
+    try:
+        config = _synth_config(read_config(str(cfg_path)), None)
+    except d.DlbacError:
+        return
+    assert isinstance(config, d.SynthConfig)

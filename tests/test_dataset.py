@@ -361,3 +361,59 @@ class TestIngestCsv:
         text = CSV_TEXT.replace("4,1", "4,1,7,8", 1)
         with pytest.raises(IngestError, match="row 4: more cells"):
             d.ingest_csv(text, self.schema)
+
+    def test_oversized_field_reports_row(self):
+        text = CSV_TEXT.replace("901", "9" * 200_000, 1)
+        with pytest.raises(IngestError, match="row 4: field larger than field limit"):
+            d.ingest_csv(text, self.schema)
+
+    def test_bare_carriage_return_reports_row(self):
+        text = CSV_TEXT.replace("3,2,", "3,2\r,", 1)
+        with pytest.raises(IngestError, match="row 3: new-line character"):
+            d.ingest_csv(text, self.schema)
+
+
+def _damaged(base: str, cut: int, at: int, char: str, truncate: bool) -> str:
+    """`base` cut short at `cut`, or with the character at `at` replaced by `char`."""
+    if truncate:
+        return base[:cut]
+    at %= len(base)
+    return base[:at] + char + base[at + 1 :]
+
+
+DAMAGE = dict(
+    cut=st.integers(0, 400),
+    at=st.integers(0, 400),
+    # weighted toward separators and line breaks, where parsers go wrong
+    char=st.one_of(
+        st.sampled_from("\r\n\t ,|=#\"-"), st.characters(min_codepoint=9, max_codepoint=126)
+    ),
+    truncate=st.booleans(),
+)
+
+SMALL_DATASET_TEXT = (
+    "dlbac-ds v1 2 2 2\n"
+    "0 0 | 3 14 | 15 9 | 1 0\n"
+    "0 7 | 3 14 | 26 5 | 0 1\n"
+    "12 7 | 8 0 | 26 5 | 1 1\n"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**DAMAGE)
+def test_damaged_dataset_file_loads_or_raises_dlbac_error(cut, at, char, truncate):
+    try:
+        dset = d.parse_dataset(_damaged(SMALL_DATASET_TEXT, cut, at, char, truncate))
+    except d.DlbacError:
+        return
+    assert isinstance(dset, d.Dataset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**DAMAGE)
+def test_damaged_csv_loads_or_raises_dlbac_error(cut, at, char, truncate):
+    try:
+        dset = d.ingest_csv(_damaged(CSV_TEXT, cut, at, char, truncate), TestIngestCsv.schema)
+    except d.DlbacError:
+        return
+    assert isinstance(dset, d.Dataset)

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dlbac as d
-from dlbac.interpret import attribution_to_csv, flip_curve_to_csv
+from dlbac.interpret import IG_CHUNK_ROWS, attribution_to_csv, flip_curve_to_csv
 from dlbac.errors import ConfigError
 
 
@@ -94,6 +97,83 @@ class TestIntegratedGradients:
         net = linear_net([1.0])
         with pytest.raises(ConfigError):
             d.integrated_gradients(net, np.ones(1), np.zeros(1), 0, steps=0)
+
+    @pytest.mark.parametrize("x", [np.ones(2), np.ones((0, 2))], ids=["one-row", "no-rows"])
+    def test_op_out_of_range(self, x):
+        with pytest.raises(ConfigError, match="op index 1"):
+            d.integrated_gradients(linear_net([1.0, 1.0]), x, np.zeros_like(x), 1, steps=4)
+
+    @pytest.mark.parametrize(
+        "x, baseline",
+        [
+            (np.ones(3), np.zeros(3)),
+            (np.ones((2, 3)), np.zeros((2, 3))),
+            (np.array([1.0, np.nan]), np.zeros(2)),
+            (np.ones(2), np.array([0.0, np.inf])),
+            (np.ones((2, 2, 2)), np.zeros((2, 2, 2))),
+        ],
+        ids=["wide-vector", "wide-matrix", "nan-input", "inf-baseline", "3-d"],
+    )
+    def test_bad_input_rejected(self, x, baseline):
+        with pytest.raises(ConfigError):
+            d.integrated_gradients(linear_net([1.0, 1.0]), x, baseline, 0, steps=4)
+
+    def test_memory_does_not_grow_with_steps(self):
+        net = linear_net([0.7, 0.3, 1.1])
+        x = np.ones(3)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                d.integrated_gradients(net, x, np.zeros(3), 0, steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(64 * IG_CHUNK_ROWS) < 1.5 * peak(2 * IG_CHUNK_ROWS)
+
+
+def ig_oracle(net, x, baseline, op, steps):
+    """Right-Riemann integrated gradients as a loop of exact per-point gradients."""
+    diff = x - baseline
+    total = np.zeros_like(x)
+    for k in range(1, steps + 1):
+        total += d.input_gradient(net, baseline + (k / steps) * diff, op)
+    return diff * total / steps
+
+
+@st.composite
+def ig_cases(draw):
+    """A random small net with non-zero biases, inputs, baselines, op and steps.
+
+    Most cases are a few rows at up to 400 steps, so rows * steps crosses the
+    chunk budget with a part-filled last chunk; a few have more rows than the
+    budget itself.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hidden = tuple(draw(st.lists(st.integers(1, 8), max_size=3)))
+    width = draw(st.integers(1, 8))
+    net = d.init_network(d.NetworkConfig(width, draw(st.integers(1, 3)), hidden))
+    net.flat[:] = rng.normal(0.0, 0.8, size=net.flat.shape)
+    if draw(st.booleans()):
+        rows, steps = draw(st.integers(1, 12)), draw(st.integers(1, 400))
+    else:
+        rows, steps = draw(st.integers(IG_CHUNK_ROWS - 2, IG_CHUNK_ROWS + 3)), draw(st.integers(1, 3))
+    shape = (width,) if rows == 1 and draw(st.booleans()) else (rows, width)
+    x = rng.normal(0.0, 1.0, size=shape)
+    baseline = rng.normal(0.0, 1.0, size=shape)
+    op = draw(st.integers(0, net.config.num_ops - 1))
+    return net, x, baseline, op, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(ig_cases())
+def test_matches_per_step_oracle(case):
+    net, x, baseline, op, steps = case
+    got = d.integrated_gradients(net, x, baseline, op, steps)
+    want = ig_oracle(net, x, baseline, op, steps)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestAggregate:

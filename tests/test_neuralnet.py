@@ -91,6 +91,11 @@ class TestForward:
         with pytest.raises(ConfigError):
             d.forward(tiny_net(), np.zeros(4))
 
+    @pytest.mark.parametrize("x", [np.float64(1.0), np.zeros((2, 4, 3))], ids=["scalar", "3-d"])
+    def test_rejects_other_ranks(self, x):
+        with pytest.raises(ConfigError, match="vector or a matrix"):
+            d.forward(tiny_net(), x)
+
 
 class TestLoss:
     def test_perfect_half_probability_gives_ln2(self):
@@ -200,6 +205,16 @@ class TestInputGradient:
     def test_op_out_of_range(self):
         with pytest.raises(ConfigError):
             d.input_gradient(tiny_net(), np.zeros(3), 2)
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.zeros(4), np.zeros((2, 2)), np.array([0.0, np.nan, 0.0]),
+         np.array([[0.0, 0.0, np.inf]]), np.zeros((2, 2, 3))],
+        ids=["wide-vector", "narrow-matrix", "nan", "inf", "3-d"],
+    )
+    def test_bad_input_rejected(self, x):
+        with pytest.raises(ConfigError):
+            d.input_gradient(tiny_net(), x, 0)
 
 
 class TestAdam:
