@@ -85,7 +85,6 @@ from .neuralnet import (
     adam_step,
     backward,
     forward,
-    init_adam,
     init_network,
     input_gradient,
     load_model,

@@ -143,6 +143,8 @@ def fit_tree(
         raise ConfigError("targets must align with feature rows")
     if min_samples_leaf < 1:
         raise ConfigError("min_samples_leaf must be >= 1")
+    if max_depth is not None and max_depth < 0:
+        raise ConfigError("max_depth must be >= 0, or None for unlimited")
     if feature_names is None:
         feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
     arrays = _grow(X, y, max_depth, min_samples_leaf)

@@ -136,6 +136,10 @@ def global_explain(
     steps: int = 128,
 ) -> Attribution:
     """Mean per-tuple normalized attribution over a sample of one label class."""
+    if not 0 <= op < dataset.num_ops:
+        raise ConfigError(f"op index {op} out of range")
+    if sample_n < 1:
+        raise ConfigError("sample size must be >= 1")
     pool = [t for t in dataset.tuples if t.ops[op] == decision_class]
     if len(pool) < sample_n:
         raise ConfigError(

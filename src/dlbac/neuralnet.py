@@ -2,7 +2,8 @@
 
 All arithmetic is float64 so gradient checks against finite differences are
 meaningful.  Hidden layers use the rectifier; the output layer is a sigmoid
-per operation, read as the probability of granting that operation.
+per operation, read as the probability of granting that operation.  Every
+parameter lives in one flat vector, which Adam updates in place.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import ConfigError, FormatError
 from .rng import SplitMix64
 
 PROB_EPS = 1e-12  # clamp for log() in the loss
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam (Kingma & Ba, 2015) defaults
 
 
 @dataclass(frozen=True)
@@ -84,24 +86,24 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ConfigError("lr0 must be positive")
-        if self.early_stop_patience < 1:
-            raise ConfigError("early_stop_patience must be >= 1")
+        if not 0.0 < self.lr0 < np.inf:
+            raise ConfigError("lr0 must be positive and finite")
+        for name in ("lr_decay_epochs", "epochs", "batch_size", "early_stop_patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if not all(0.0 < w < np.inf for w in self.class_weights):
             raise ConfigError("class weights must be positive and finite")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in [0, 1)")
 
 
-@dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    """Moments `m`, `v` and step count `t` of Adam on a flat vector; `_a`, `_b` are scratch."""
+
+    def __init__(self, size: int):
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._a, self._b = np.empty(size), np.empty(size)
+        self.t = 0
 
 
 @dataclass
@@ -248,33 +250,25 @@ def input_gradient(net: Network, x: np.ndarray, op_index: int) -> np.ndarray:
     return grad[0] if single else grad
 
 
-def init_adam(params: list[np.ndarray]) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params]
-    )
+def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of `flat`, `state.m` and `state.v`, in place.
 
-
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; inputs are not mutated."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ConfigError("params, grads, and state shapes must align")
-    t = state.t + 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m2 = b1 * m + (1.0 - b1) * g
-        v2 = b2 * v + (1.0 - b2) * (g * g)
-        m_hat = m2 / (1.0 - b1**t)
-        v_hat = v2 / (1.0 - b2**t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m2)
-        new_v.append(v2)
-    return new_params, AdamState(new_m, new_v, t, b1, b2, eps)
+    It runs the operations of `p - lr * m_hat / (sqrt(v_hat) + eps)`, taken
+    array by array, in the same order, so the bits match that expression.
+    """
+    state.t += 1
+    m, v, a, b = state.m, state.v, state._a, state._b
+    m *= BETA1
+    m += np.multiply(grad, 1.0 - BETA1, out=a)
+    v *= BETA2
+    v += np.multiply(np.multiply(grad, grad, out=a), 1.0 - BETA2, out=a)
+    np.divide(m, 1.0 - BETA1**state.t, out=a)  # m_hat
+    a *= lr
+    np.divide(v, 1.0 - BETA2**state.t, out=b)  # v_hat
+    np.sqrt(b, out=b)
+    b += EPS
+    a /= b
+    flat -= a
 
 
 class EarlyStopper:
@@ -304,8 +298,9 @@ def train(
 ) -> tuple[Network, TrainReport]:
     """Mini-batch Adam with step-decayed learning rate and early stopping.
 
-    A `val_fraction` carve-out of the training tuples is the early-stopping
-    monitor; the returned network holds the best-validation-epoch parameters.
+    Adam updates a working copy of `net.flat` in place.  A `val_fraction`
+    carve-out of the training tuples is the early-stopping monitor; the
+    returned network holds the best-validation-epoch parameters.
     """
     if len(train_set.tuples) == 0:
         raise ConfigError("empty training set")
@@ -325,8 +320,8 @@ def train(
     Xtr, Ytr = X[tr_idx], Y[tr_idx]
     Xval, Yval = X[val_idx], Y[val_idx]
 
-    work = net  # adam_step is pure, so the input network is never written
-    state = init_adam([work.flat])
+    work = Network(net.config, net.flat.copy())
+    state = AdamState(work.flat.size)
     stopper = EarlyStopper(tc.early_stop_patience)
     best = net.flat.copy()
     report = TrainReport()
@@ -340,8 +335,7 @@ def train(
         for start in range(0, n, tc.batch_size):
             idx = batch_order[start : start + tc.batch_size]
             grad, batch_loss = _loss_grads(work, Xtr[idx], Ytr[idx], tc.class_weights)
-            (flat,), state = adam_step([work.flat], [grad.flat], state, lr)
-            work = Network(net.config, flat)
+            adam_step(work.flat, grad.flat, state, lr)
             epoch_loss += batch_loss * len(idx)
         epoch_loss /= n
 
@@ -354,9 +348,8 @@ def train(
         report.val_losses.append(val_loss)
         report.learning_rates.append(lr)
 
-        improved_to_best = val_loss < stopper.best
         should_stop = stopper.update(val_loss)
-        if improved_to_best:
+        if stopper.best_epoch == epoch:
             np.copyto(best, work.flat)
         if should_stop:
             break

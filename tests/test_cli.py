@@ -146,6 +146,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--batch-size", "0"), ("--batch-size", "-4"), ("--epochs", "0"),
+         ("--epochs", "-3"), ("--lr", "nan")],
+    )
+    def test_bad_train_config_is_single_line_error(self, workdir, tmp_path, capsys, flag, value):
+        _, data, _ = workdir
+        out = tmp_path / "m"
+        rc = main(["train", "--data", str(data), "--out", str(out), "--hidden", "8", flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestEval:
     def test_writes_metrics_csv(self, workdir, tmp_path):
@@ -252,6 +266,26 @@ class TestExplain:
         assert rc == 0
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("explain", ["--global", "--op", "9"]), ("explain", ["--global", "--op", "-1"]),
+         ("explain", ["--global", "--op", "0", "--samples", "0"]),
+         ("explain", ["--global", "--op", "0", "--samples", "-2"]),
+         ("flip-study", ["--op", "9"])],
+    )
+    def test_bad_op_or_samples_is_single_line_error(self, workdir, tmp_path, capsys, command, flags):
+        _, data, model_dir = workdir
+        if command == "flip-study":  # a donor that exists, so the op is what fails
+            t = d.parse_dataset(data.read_text()).tuples[0]
+            flags = [*flags, "--donor-uid", str(t.uid), "--donor-rid", str(t.rid)]
+        out = tmp_path / "out.csv"
+        rc = main([command, "--model", str(model_dir), "--data", str(data), *flags,
+                   "--steps", "4", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_local_without_store_errors(self, workdir, capsys):
         _, data, model_dir = workdir
         rc = main(["explain", "--local", "--model", str(model_dir),
@@ -300,6 +334,16 @@ class TestDistill:
               "--op", "0", "--max-depth", "0", "--min-samples-leaf", "1",
               "--out", str(out)])
         assert d.load_tree(out.read_text()).max_depth is None
+
+    def test_negative_max_depth_is_single_line_error(self, workdir, tmp_path, capsys):
+        _, data, model_dir = workdir
+        out = tmp_path / "tree.txt"
+        rc = main(["distill", "--model", str(model_dir), "--data", str(data),
+                   "--op", "0", "--max-depth", "-2", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestTopLevel:

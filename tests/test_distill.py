@@ -88,6 +88,12 @@ class TestGrow:
         tree = d.fit_tree(X, y, max_depth=3, min_samples_leaf=1)
         assert max(leaf_depths(tree)) <= 3
 
+    @pytest.mark.parametrize("max_depth", [-1, -2])
+    def test_negative_max_depth_rejected(self, max_depth):
+        X = np.arange(8, dtype=float)[:, None]
+        with pytest.raises(ConfigError, match="max_depth"):
+            d.fit_tree(X, np.arange(8.0), max_depth=max_depth)
+
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(2)
         X = rng.integers(0, 20, size=(100, 2)).astype(float)

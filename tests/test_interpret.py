@@ -223,6 +223,17 @@ class TestExplain:
         with pytest.raises(ConfigError, match="available"):
             d.global_explain(net, enc, dset, 0, sample_n=10 ** 6)
 
+    @pytest.mark.parametrize(
+        "op, sample_n, message",
+        [(2, 5, "op index 2"), (9, 5, "op index 9"), (-1, 5, "op index -1"),
+         (0, 0, "sample size"), (0, -2, "sample size")],
+    )
+    def test_global_bad_op_or_sample_size_rejected(self, trained, op, sample_n, message):
+        net, enc, dset = trained
+        assert dset.num_ops == 2
+        with pytest.raises(ConfigError, match=message):
+            d.global_explain(net, enc, dset, op, sample_n=sample_n, steps=4)
+
     def test_significance_order_sorted_descending(self, trained):
         net, enc, dset = trained
         attr = d.global_explain(net, enc, dset, 0, sample_n=20, steps=16)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlbac as d
+import dlbac.neuralnet as nn
 from dlbac.errors import ConfigError, FormatError
 from dlbac.neuralnet import EarlyStopper, _sigmoid
 from dlbac.rng import SplitMix64
@@ -217,36 +219,101 @@ class TestInputGradient:
             d.input_gradient(tiny_net(), x, 0)
 
 
+# Adam over lists of arrays, each step building fresh arrays: the reference
+# that the in-place `adam_step` must match bit for bit.
+@dataclass
+class ListAdamState:
+    m: list[np.ndarray]
+    v: list[np.ndarray]
+    t: int = 0
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+
+def init_oracle_adam(params: list[np.ndarray]) -> ListAdamState:
+    return ListAdamState(
+        m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params]
+    )
+
+
+def oracle_adam_step(
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
+    state: ListAdamState,
+    lr: float,
+) -> tuple[list[np.ndarray], ListAdamState]:
+    """One bias-corrected Adam update; inputs are not mutated."""
+    if len(params) != len(grads) or len(params) != len(state.m):
+        raise ConfigError("params, grads, and state shapes must align")
+    t = state.t + 1
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    new_params, new_m, new_v = [], [], []
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m2 = b1 * m + (1.0 - b1) * g
+        v2 = b2 * v + (1.0 - b2) * (g * g)
+        m_hat = m2 / (1.0 - b1**t)
+        v_hat = v2 / (1.0 - b2**t)
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m2)
+        new_v.append(v2)
+    return new_params, ListAdamState(new_m, new_v, t, b1, b2, eps)
+
+
 class TestAdam:
     def test_first_step_moves_by_lr(self):
         # bias correction makes the first update lr * g/|g| (up to eps)
-        params = [np.array([1.0])]
-        grads = [np.array([0.5])]
-        state = d.init_adam(params)
-        new, state2 = d.adam_step(params, grads, state, lr=0.001)
-        assert new[0][0] == pytest.approx(1.0 - 0.001, rel=1e-6)
-        assert state2.t == 1
+        flat = np.array([1.0])
+        grad = np.array([0.5])
+        state = d.AdamState(1)
+        d.adam_step(flat, grad, state, lr=0.001)
+        assert flat[0] == pytest.approx(1.0 - 0.001, rel=1e-6)
+        assert state.t == 1
+        assert np.array_equal(grad, [0.5])
 
     def test_inputs_not_mutated(self):
         params = [np.array([1.0, 2.0])]
         grads = [np.array([0.3, -0.3])]
-        state = d.init_adam(params)
-        d.adam_step(params, grads, state, 0.01)
+        state = init_oracle_adam(params)
+        oracle_adam_step(params, grads, state, 0.01)
         assert np.array_equal(params[0], [1.0, 2.0])
         assert state.t == 0 and np.all(state.m[0] == 0.0)
 
     def test_converges_on_quadratic(self):
         # minimize (theta - 3)^2 by following its gradient
-        params = [np.array([0.0])]
-        state = d.init_adam(params)
+        flat = np.array([0.0])
+        state = d.AdamState(1)
         for _ in range(4000):
-            g = [2.0 * (params[0] - 3.0)]
-            params, state = d.adam_step(params, g, state, lr=0.01)
-        assert params[0][0] == pytest.approx(3.0, abs=1e-3)
+            d.adam_step(flat, 2.0 * (flat - 3.0), state, lr=0.01)
+        assert flat[0] == pytest.approx(3.0, abs=1e-3)
 
     def test_default_hyperparameters(self):
-        state = d.init_adam([np.zeros(1)])
-        assert (state.beta1, state.beta2, state.eps) == (0.9, 0.999, 1e-8)
+        assert (nn.BETA1, nn.BETA2, nn.EPS) == (0.9, 0.999, 1e-8)
+        oracle = init_oracle_adam([np.zeros(1)])
+        assert (oracle.beta1, oracle.beta2, oracle.eps) == (nn.BETA1, nn.BETA2, nn.EPS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_in_place_adam_matches_oracle_bit_for_bit(data):
+    size = data.draw(st.integers(1, 40), label="size")
+    steps = data.draw(st.integers(1, 25), label="steps")
+    decay_at = data.draw(st.integers(1, steps), label="decay_at")
+    lr0 = data.draw(st.sampled_from([1e-3, 0.01, 0.3]), label="lr0")
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
+    vectors = st.lists(values, min_size=size, max_size=size)
+    flat = np.array(data.draw(vectors, label="params"))
+    params, oracle = [flat.copy()], init_oracle_adam([flat])
+    state = d.AdamState(size)
+    for k in range(steps):
+        grad = np.array(data.draw(vectors))
+        lr = lr0 if k < decay_at else lr0 / 10.0  # train's step decay
+        params, oracle = oracle_adam_step(params, [grad], oracle, lr)
+        d.adam_step(flat, grad, state, lr)
+        assert state.t == oracle.t
+        assert np.array_equal(flat, params[0])
+        assert np.array_equal(state.m, oracle.m[0])
+        assert np.array_equal(state.v, oracle.v[0])
 
 
 class TestEarlyStopper:
@@ -346,6 +413,50 @@ class TestTrain:
         X = d.encode_dataset(enc, dset)[val]
         Y = dset.labels_matrix().astype(np.float64)[val]
         assert d.loss(d.forward(trained, X), Y) == report.val_losses[report.best_epoch]
+
+
+def test_train_with_oracle_adam_writes_the_same_model(monkeypatch):
+    dset = trainable_dataset()
+    enc = d.build_encoder(dset)
+    cfg = d.NetworkConfig(enc.width, dset.num_ops, (16, 8), init_seed=2)
+    # the lr decays mid-run, and epochs after the best one leave a snapshot
+    tc = d.TrainConfig(
+        epochs=8, lr0=0.3, lr_decay_epochs=2, early_stop_patience=3, val_fraction=0.2
+    )
+    expected, _ = d.train(d.init_network(cfg), dset, enc, tc)
+    calls = []
+
+    def oracle_in_place(flat, grad, state, lr):
+        listed = ListAdamState([state.m], [state.v], state.t)
+        (new,), listed = oracle_adam_step([flat], [grad], listed, lr)
+        flat[...], state.m[...], state.v[...] = new, listed.m[0], listed.v[0]
+        state.t = listed.t
+        calls.append(lr)
+
+    monkeypatch.setattr(nn, "adam_step", oracle_in_place)
+    got, report = d.train(d.init_network(cfg), dset, enc, tc)
+    assert len(set(calls)) > 1 and report.best_epoch < report.stopped_epoch - 1
+    assert d.save_model(got) == d.save_model(expected)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 0),
+            ("epochs", -3),
+            ("batch_size", 0),
+            ("batch_size", -4),
+            ("lr_decay_epochs", 0),
+            ("lr0", 0.0),
+            ("lr0", float("nan")),
+            ("lr0", float("inf")),
+            ("early_stop_patience", 0),
+        ],
+    )
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            d.TrainConfig(**{field: value})
 
 
 class TestFlatParameters:
