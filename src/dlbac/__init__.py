@@ -43,6 +43,7 @@ from .encoding import (
     encode_dataset,
     encode_matrix,
     encode_pair,
+    encode_positions,
     load_encoder,
     save_encoder,
 )

@@ -152,8 +152,8 @@ def _cmd_train(args) -> int:
     if args.visible_user is not None or args.visible_res is not None:
         data = ds.project_visible(
             data,
-            args.visible_user or data.num_user_meta,
-            args.visible_res or data.num_res_meta,
+            data.num_user_meta if args.visible_user is None else args.visible_user,
+            data.num_res_meta if args.visible_res is None else args.visible_res,
         )
     encoder = enc.build_encoder(data, args.scheme)
     weights = args.weights.split(",")

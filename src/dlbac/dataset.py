@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,8 +59,8 @@ class SynthConfig:
             raise ConfigError("visible metadata counts must be positive")
         if not 0.0 <= self.constraint_prob <= 1.0:
             raise ConfigError("constraint_prob must be in [0, 1]")
-        if self.neg_ratio < 0.0:
-            raise ConfigError("neg_ratio must be non-negative")
+        if not 0.0 <= self.neg_ratio < math.inf:  # also false for nan
+            raise ConfigError("neg_ratio must be finite and non-negative")
         if self.value_distribution not in ("uniform", "zipf"):
             raise ConfigError("value_distribution must be 'uniform' or 'zipf'")
         if self.num_users < self.num_rules or self.num_resources < self.num_rules:
@@ -146,14 +147,10 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.tuples)
 
-    def umeta_matrix(self) -> np.ndarray:
-        return np.array([t.umeta for t in self.tuples], dtype=np.int64).reshape(
-            len(self.tuples), self.num_user_meta
-        )
-
-    def rmeta_matrix(self) -> np.ndarray:
-        return np.array([t.rmeta for t in self.tuples], dtype=np.int64).reshape(
-            len(self.tuples), self.num_res_meta
+    def meta_matrix(self) -> np.ndarray:
+        """One row of positions per tuple: user metadata, then resource metadata."""
+        return np.array([t.umeta + t.rmeta for t in self.tuples], dtype=np.int64).reshape(
+            len(self.tuples), self.num_user_meta + self.num_res_meta
         )
 
     def labels_matrix(self) -> np.ndarray:
@@ -315,7 +312,8 @@ def generate_tuples(
 
     One tuple per pair granted at least one operation (ops = union over all
     satisfied rules) plus round(neg_ratio * positives) all-deny pairs sampled
-    uniformly from the remaining pairs.
+    uniformly from the remaining pairs, or every remaining pair when there
+    are fewer.
     """
     U = np.array([u.meta for u in users], dtype=np.int64)
     R = np.array([r.meta for r in resources], dtype=np.int64)
@@ -344,8 +342,9 @@ def generate_tuples(
     n_neg = int(round(config.neg_ratio * len(grants)))
     negatives: set[int] = set()
     total_pairs = len(users) * n_res
+    wanted = min(n_neg, total_pairs - len(grants))
     attempts = 0
-    while len(negatives) < n_neg and attempts < 100 * max(n_neg, 1):
+    while len(negatives) < wanted and attempts < 100 * max(n_neg, 1):
         key = rng.randint(total_pairs)
         attempts += 1
         if key not in grants and key not in negatives:
@@ -498,6 +497,8 @@ def project_visible(
     dataset: Dataset, visible_user_meta: int, visible_res_meta: int
 ) -> Dataset:
     """Keep only the first visible_* metadata of each side; labels unchanged."""
+    if visible_user_meta < 1 or visible_res_meta < 1:
+        raise ConfigError("visible metadata counts must be positive")
     if visible_user_meta > dataset.num_user_meta:
         raise ConfigError("visible_user_meta exceeds dataset user metadata count")
     if visible_res_meta > dataset.num_res_meta:

@@ -153,11 +153,6 @@ def fit_tree(
     return tree
 
 
-def _raw_matrix(dataset: Dataset) -> np.ndarray:
-    """Raw metadata values, user columns then resource columns, one row per tuple."""
-    return np.hstack([dataset.umeta_matrix(), dataset.rmeta_matrix()]).astype(np.float64)
-
-
 def distill(
     net: Network,
     encoder: Encoder,
@@ -167,7 +162,7 @@ def distill(
     min_samples_leaf: int = 5,
 ) -> DistilledTree:
     """Fit a tree to the network's probabilities over a dataset's raw metadata."""
-    X = _raw_matrix(dataset)
+    X = dataset.meta_matrix().astype(np.float64)
     y = soft_labels(net, encoder, dataset, op)
     names = tuple(metadata_names(dataset.num_user_meta, dataset.num_res_meta))
     return fit_tree(X, y, max_depth, min_samples_leaf, names, op_index=op)
@@ -263,7 +258,7 @@ def fidelity(
 ) -> float:
     """Fraction of tuples where tree and network agree after thresholding."""
     net_dec = soft_labels(net, encoder, dataset, op) > threshold
-    tree_dec = _leaf_values(tree, _raw_matrix(dataset)) > threshold
+    tree_dec = _leaf_values(tree, dataset.meta_matrix().astype(np.float64)) > threshold
     return float(np.mean(net_dec == tree_dec))
 
 

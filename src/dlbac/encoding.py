@@ -63,23 +63,25 @@ class Encoder:
     def names(self) -> list[str]:
         return metadata_names(self.num_user_meta, self.num_res_meta)
 
+    def check_layout(self, num_user_meta: int, num_res_meta: int) -> None:
+        """ConfigError unless pairs of this many user and resource metadata fit."""
+        if (num_user_meta, num_res_meta) != (self.num_user_meta, self.num_res_meta):
+            raise ConfigError(
+                f"{num_user_meta} user and {num_res_meta} resource metadata do not match "
+                f"encoder positions ({self.num_user_meta} + {self.num_res_meta})"
+            )
+
 
 def build_encoder(train: Dataset, scheme: str = "onehot") -> Encoder:
     """Category maps from the training tuples only, columns in ascending value order."""
     if len(train.tuples) == 0:
         raise ConfigError("cannot build an encoder from an empty dataset")
-    U = train.umeta_matrix()
-    R = train.rmeta_matrix()
-    seen = []
-    for i in range(train.num_user_meta):
-        seen.append(tuple(int(v) for v in np.unique(U[:, i])))
-    for j in range(train.num_res_meta):
-        seen.append(tuple(int(v) for v in np.unique(R[:, j])))
+    M = train.meta_matrix()
     return Encoder(
         scheme=scheme,
         num_user_meta=train.num_user_meta,
         num_res_meta=train.num_res_meta,
-        seen_values=tuple(seen),
+        seen_values=tuple(tuple(int(v) for v in np.unique(col)) for col in M.T),
     )
 
 
@@ -92,18 +94,43 @@ def _dense_columns(encoder: Encoder, position: int, values: np.ndarray) -> np.nd
     return np.where(known, pos_clipped, len(seen))
 
 
-def _encode_into(encoder: Encoder, X: np.ndarray, M: np.ndarray, first: int) -> None:
-    """Write the blocks of positions first, first+1, ... (one per column of M) into X.
+def _whole_numbers(M: np.ndarray) -> np.ndarray:
+    """M as int64; ConfigError unless every value is a whole number int64 can hold."""
+    if M.dtype.kind in "bi":
+        return M.astype(np.int64, copy=False)
+    if M.dtype.kind in "uf":
+        with np.errstate(invalid="ignore"):
+            whole = (M == np.floor(M)) & (M >= -(2.0**63)) & (M < 2.0**63)
+        if whole.all():
+            return M.astype(np.int64)
+    raise ConfigError("metadata values must be whole numbers")
 
-    X holds exactly those blocks, so its column 0 is where position `first` starts.
+
+def encode_positions(encoder: Encoder, M, first: int = 0) -> np.ndarray:
+    """Encoded blocks of positions first .. first + M.shape[1] - 1, one row per row of M.
+
+    Column j of M holds the values of position first + j, and column 0 of
+    the result is where the block of position `first` starts.  A full row of
+    positions gives the whole feature row; a store encodes its users from
+    position 0 and its resources from position num_user_meta.
     """
-    spans = encoder.field_spans
-    offset = spans[first][0] if M.shape[1] else 0
+    M = np.asarray(M)
+    if M.ndim != 2:
+        raise ConfigError("metadata matrix must be 2-D")
+    last = first + M.shape[1]
+    if not 0 <= first <= last <= encoder.num_positions:
+        raise ConfigError(
+            f"positions {first}..{last - 1} are outside the encoder's "
+            f"{encoder.num_positions} positions"
+        )
+    M = _whole_numbers(M)
+    spans = encoder.field_spans[first:last]
+    offset = spans[0][0] if spans else 0
+    X = np.zeros((M.shape[0], sum(w for _, w in spans)), dtype=np.float64)
     rows = np.arange(M.shape[0])
-    for j in range(M.shape[1]):
+    for j, (start, width) in enumerate(spans):
         p = first + j
         dense = _dense_columns(encoder, p, M[:, j])
-        start, width = spans[p]
         start -= offset
         if encoder.scheme == "onehot":
             X[rows, start + dense] = 1.0
@@ -113,60 +140,30 @@ def _encode_into(encoder: Encoder, X: np.ndarray, M: np.ndarray, first: int) -> 
             idx = np.where(dense < card, dense + 1, 0)
             for bit in range(width):
                 X[:, start + bit] = (idx >> bit) & 1
-
-
-def _user_width(encoder: Encoder) -> int:
-    return sum(encoder.block_widths[: encoder.num_user_meta])
+    return X
 
 
 def encode_matrix(encoder: Encoder, U: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Vectorized encoding of row-aligned user/resource metadata matrices."""
-    U = np.asarray(U, dtype=np.int64)
-    R = np.asarray(R, dtype=np.int64)
-    if U.shape[1] != encoder.num_user_meta or R.shape[1] != encoder.num_res_meta:
+    U, R = np.asarray(U), np.asarray(R)
+    if U.shape[1:] != (encoder.num_user_meta,) or R.shape[1:] != (encoder.num_res_meta,):
         raise ConfigError("metadata matrix width does not match encoder positions")
     if U.shape[0] != R.shape[0]:
         raise ConfigError("user and resource matrices must have equal row counts")
-    X = np.zeros((U.shape[0], encoder.width), dtype=np.float64)
-    split = _user_width(encoder)
-    _encode_into(encoder, X[:, :split], U, 0)
-    _encode_into(encoder, X[:, split:], R, encoder.num_user_meta)
-    return X
-
-
-def _encode_half(encoder: Encoder, M: np.ndarray, first: int, count: int, width: int):
-    M = np.asarray(M, dtype=np.int64)
-    if M.ndim != 2 or M.shape[1] != count:
-        raise ConfigError("metadata matrix width does not match encoder positions")
-    X = np.zeros((M.shape[0], width), dtype=np.float64)
-    _encode_into(encoder, X, M, first)
-    return X
-
-
-def encode_users(encoder: Encoder, U: np.ndarray) -> np.ndarray:
-    """The user columns of `encode_matrix`, one row per row of U."""
-    return _encode_half(encoder, U, 0, encoder.num_user_meta, _user_width(encoder))
-
-
-def encode_resources(encoder: Encoder, R: np.ndarray) -> np.ndarray:
-    """The resource columns of `encode_matrix`, one row per row of R."""
-    split = _user_width(encoder)
-    return _encode_half(
-        encoder, R, encoder.num_user_meta, encoder.num_res_meta, encoder.width - split
-    )
+    return encode_positions(encoder, np.hstack((U, R)))
 
 
 def encode_pair(encoder: Encoder, umeta, rmeta) -> np.ndarray:
     """Feature vector for one (user metadata, resource metadata) pair."""
-    umeta = np.asarray(umeta, dtype=np.int64)
-    rmeta = np.asarray(rmeta, dtype=np.int64)
+    umeta, rmeta = np.asarray(umeta), np.asarray(rmeta)
     if umeta.shape != (encoder.num_user_meta,) or rmeta.shape != (encoder.num_res_meta,):
         raise ConfigError("metadata vector length does not match encoder positions")
-    return encode_matrix(encoder, umeta[None, :], rmeta[None, :])[0]
+    return encode_positions(encoder, np.hstack((umeta, rmeta))[None, :])[0]
 
 
 def encode_dataset(encoder: Encoder, dataset: Dataset) -> np.ndarray:
-    return encode_matrix(encoder, dataset.umeta_matrix(), dataset.rmeta_matrix())
+    encoder.check_layout(dataset.num_user_meta, dataset.num_res_meta)
+    return encode_positions(encoder, dataset.meta_matrix())
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Access control decision engine: metadata lookup, decide, and a line server.
 
 The wire protocol is newline-delimited ASCII over TCP: `DECIDE <uid> <rid>
-<op>` answers `GRANT <prob>` or `DENY <prob>` (six decimals), `PING` answers
-`PONG`, anything else answers `ERR <reason>`.  Every input line yields
-exactly one reply line and request errors never terminate the server.
+<op>` (each field ASCII `-?[0-9]+`) answers `GRANT <prob>` or `DENY <prob>`
+(six decimals), `PING` answers `PONG`, anything else answers `ERR <reason>`.
+Every input line yields exactly one reply line and request errors never
+terminate the server.
 
-A store encodes each user's and each resource's metadata block once per
-encoder, on the first decision that encoder asks of it, so a decision is a
-row lookup, one concatenation and `forward`.
+A pair's metadata is one row of positions, user positions first.  A store
+encodes each user's positions (from position 0) and each resource's (from
+position num_user_meta) once per encoder, on the first decision or
+explanation that encoder asks of it, so `MetadataStore.features` is two
+row lookups and one concatenation, and a decision is that plus `forward`.
 """
 
 from __future__ import annotations
 
+import re
 import socketserver
 import threading
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .encoding import Encoder, encode_resources, encode_users
+from .encoding import Encoder, encode_positions
 from .errors import ConfigError, ConflictError, NotFoundError
 from .neuralnet import Network, forward
 
@@ -39,9 +43,9 @@ def _find(table: dict, key: int, kind: str):
         raise NotFoundError(f"unknown {kind} {key}") from None
 
 
-def _encode_rows(encode, encoder: Encoder, table: dict[int, tuple[int, ...]], width: int):
-    M = np.array(list(table.values()), dtype=np.int64).reshape(len(table), width)
-    return dict(zip(table, encode(encoder, M)))
+def _encode_rows(encoder: Encoder, table: dict[int, tuple[int, ...]], first: int, count: int):
+    M = np.array(list(table.values()), dtype=np.int64).reshape(len(table), count)
+    return dict(zip(table, encode_positions(encoder, M, first)))
 
 
 class MetadataStore:
@@ -75,13 +79,21 @@ class MetadataStore:
         """
         rows = self._rows
         if rows is None or rows[0] is not encoder:
+            nu, nr = self.num_user_meta, self.num_res_meta
+            encoder.check_layout(nu, nr)
             rows = (
                 encoder,
-                _encode_rows(encode_users, encoder, self._users, self.num_user_meta),
-                _encode_rows(encode_resources, encoder, self._resources, self.num_res_meta),
+                _encode_rows(encoder, self._users, 0, nu),
+                _encode_rows(encoder, self._resources, nu, nr),
             )
             self._rows = rows
         return rows[1], rows[2]
+
+    def features(self, encoder: Encoder, uid: int, rid: int) -> np.ndarray:
+        """The pair's feature row: its user's encoded row, then its resource's."""
+        users, resources = self.rows(encoder)
+        user, resource = _find(users, uid, "user"), _find(resources, rid, "resource")
+        return np.concatenate((user, resource))
 
     @property
     def user_ids(self) -> list[int]:
@@ -111,15 +123,6 @@ def build_store(dataset: Dataset) -> MetadataStore:
     return MetadataStore(dataset.num_user_meta, dataset.num_res_meta, users, resources)
 
 
-def _probabilities(
-    net: Network, encoder: Encoder, store: MetadataStore, uid: int, rid: int
-) -> np.ndarray:
-    """The one decision path: two encoded rows, joined, forward; one probability per op."""
-    users, resources = store.rows(encoder)
-    user, resource = _find(users, uid, "user"), _find(resources, rid, "resource")
-    return forward(net, np.concatenate((user, resource)))
-
-
 def decide(
     net: Network,
     encoder: Encoder,
@@ -132,7 +135,7 @@ def decide(
     """Grant iff the network's probability for op strictly exceeds the threshold."""
     if not 0 <= op < net.config.num_ops:
         raise ConfigError(f"operation index {op} out of range")
-    prob = float(_probabilities(net, encoder, store, uid, rid)[op])
+    prob = float(forward(net, store.features(encoder, uid, rid))[op])
     return Decision(op, prob, prob > threshold, threshold)
 
 
@@ -144,7 +147,7 @@ def decide_all(
     rid: int,
     threshold: float = 0.5,
 ) -> list[Decision]:
-    probs = _probabilities(net, encoder, store, uid, rid)
+    probs = forward(net, store.features(encoder, uid, rid))
     return [
         Decision(op, float(p), float(p) > threshold, threshold)
         for op, p in enumerate(probs)
@@ -156,18 +159,22 @@ def format_decision(d: Decision) -> str:
     return f"{verdict} {d.probability:.6f}"
 
 
+_DECIDE = re.compile(r"DECIDE\s+(-?[0-9]+)\s+(-?[0-9]+)\s+(-?[0-9]+)")
+
+
 def handle_line(
     line: str, net: Network, encoder: Encoder, store: MetadataStore, threshold: float
 ) -> str:
     """One reply line per input line; the protocol's whole request logic."""
-    parts = line.strip().split()
-    if parts == ["PING"]:
+    line = line.strip()
+    if line == "PING":
         return "PONG"
-    if not parts or parts[0] != "DECIDE" or len(parts) != 4:
+    m = _DECIDE.fullmatch(line)
+    if m is None:
         return "ERR malformed request"
     try:
-        uid, rid, op = int(parts[1]), int(parts[2]), int(parts[3])
-    except ValueError:
+        uid, rid, op = int(m[1]), int(m[2]), int(m[3])
+    except ValueError:  # more digits than int() converts
         return "ERR malformed request"
     try:
         return format_decision(decide(net, encoder, store, uid, rid, op, threshold))

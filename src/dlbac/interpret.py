@@ -7,6 +7,10 @@ row) pair then goes through the remaining layers in bounded batches.
 Per-metadata scores sum absolute per-feature scores over the
 metadata's encoder block and are normalized by the maximum block score, so
 a block with zero attribution keeps an exact 0.0 (read as "no impact").
+
+A pair's metadata is one row of positions (user positions, then resource
+positions) named as in `Encoder.names`, so replacing a metadata value with
+a donor's writes one position.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import AuthorizationTuple, Dataset
-from .encoding import Encoder, encode_matrix, encode_pair
+from .encoding import Encoder, encode_dataset, encode_positions
 from .engine import MetadataStore
 from .errors import ConfigError
 from .neuralnet import Network, _dprob_dz0, _rows, forward
@@ -95,10 +99,15 @@ def aggregate(feature_scores: np.ndarray, encoder: Encoder) -> np.ndarray:
     return out[0] if single else out
 
 
-def _attribution_for_pair(
-    net: Network, encoder: Encoder, umeta, rmeta, op: int, steps: int
+def _position_row(encoder: Encoder, t: AuthorizationTuple) -> list[int]:
+    """The tuple's metadata as one row of positions, in the encoder's layout."""
+    encoder.check_layout(len(t.umeta), len(t.rmeta))
+    return list(t.umeta + t.rmeta)
+
+
+def _attribution(
+    net: Network, encoder: Encoder, x: np.ndarray, op: int, steps: int
 ) -> Attribution:
-    x = encode_pair(encoder, umeta, rmeta)
     raw = integrated_gradients(net, x, np.zeros_like(x), op, steps)
     return Attribution(
         feature_scores=raw,
@@ -119,10 +128,8 @@ def local_explain(
     op: int,
     steps: int = 128,
 ) -> Attribution:
-    """Attribution for a single (user, resource) decision."""
-    return _attribution_for_pair(
-        net, encoder, store.lookup_user(uid), store.lookup_resource(rid), op, steps
-    )
+    """Attribution for a single (user, resource) decision, on `decide`'s feature row."""
+    return _attribution(net, encoder, store.features(encoder, uid, rid), op, steps)
 
 
 def global_explain(
@@ -148,9 +155,7 @@ def global_explain(
         )
     rng = SplitMix64(seed)
     picks = [pool[i] for i in rng.sample_indices(len(pool), sample_n)]
-    U = np.array([t.umeta for t in picks], dtype=np.int64)
-    R = np.array([t.rmeta for t in picks], dtype=np.int64)
-    X = encode_matrix(encoder, U, R)
+    X = encode_positions(encoder, [_position_row(encoder, t) for t in picks])
     raw = integrated_gradients(net, X, np.zeros_like(X), op, steps)
     normalized = aggregate(raw, encoder)
     return Attribution(
@@ -169,15 +174,12 @@ def significance_order(attribution: Attribution) -> list[str]:
     return [attribution.metadata_names[i] for i in order]
 
 
-def _name_to_column(encoder: Encoder, name: str) -> tuple[str, int]:
-    """('u'|'r', column index) for a metadata name like umeta3 / rmeta0."""
+def _position(encoder: Encoder, name: str) -> int:
+    """Position index of a metadata name like umeta3 / rmeta0."""
     names = encoder.names
     if name not in names:
         raise ConfigError(f"unknown metadata name {name!r}")
-    p = names.index(name)
-    if p < encoder.num_user_meta:
-        return "u", p
-    return "r", p - encoder.num_user_meta
+    return names.index(name)
 
 
 def flip_study(
@@ -196,27 +198,20 @@ def flip_study(
     is recorded; entry 0 is the unmodified fraction, which is 0 because the
     deny set is defined by the network's own decisions.
     """
-    donor_x = encode_pair(encoder, donor.umeta, donor.rmeta)
-    if not float(forward(net, donor_x)[op]) > threshold:
+    donor_row = np.array([_position_row(encoder, donor)], dtype=np.int64)
+    if not float(forward(net, encode_positions(encoder, donor_row)[0])[op]) > threshold:
         raise ConfigError("donor tuple is denied for the requested operation")
 
-    U = dataset.umeta_matrix()
-    R = dataset.rmeta_matrix()
-    probs = forward(net, encode_matrix(encoder, U, R))[:, op]
-    denied = probs <= threshold
-    U = U[denied].copy()
-    R = R[denied].copy()
-    if U.shape[0] == 0:
+    probs = forward(net, encode_dataset(encoder, dataset))[:, op]
+    M = dataset.meta_matrix()[probs <= threshold]
+    if M.shape[0] == 0:
         raise ConfigError("no denied tuples to flip")
 
     fractions = [0.0]
     for name in order:
-        side, col = _name_to_column(encoder, name)
-        if side == "u":
-            U[:, col] = donor.umeta[col]
-        else:
-            R[:, col] = donor.rmeta[col]
-        probs = forward(net, encode_matrix(encoder, U, R))[:, op]
+        p = _position(encoder, name)
+        M[:, p] = donor_row[0, p]
+        probs = forward(net, encode_positions(encoder, M))[:, op]
         fractions.append(float(np.mean(probs > threshold)))
     return FlipCurve(replaced=tuple(order), fractions=tuple(fractions))
 
@@ -236,18 +231,14 @@ def insignificance_check(
     Metadata whose local normalized score is strictly below `score_threshold`
     (exact zeros included) take the donor's values.
     """
-    attr = _attribution_for_pair(net, encoder, tup.umeta, tup.rmeta, op, steps)
-    before = float(forward(net, encode_pair(encoder, tup.umeta, tup.rmeta))[op]) > threshold
-    umeta = list(tup.umeta)
-    rmeta = list(tup.rmeta)
-    for name, s in zip(attr.metadata_names, attr.metadata_scores):
+    meta, donor_meta = _position_row(encoder, tup), _position_row(encoder, donor)
+    x = encode_positions(encoder, [meta])[0]
+    attr = _attribution(net, encoder, x, op, steps)
+    before = float(forward(net, x)[op]) > threshold
+    for p, s in enumerate(attr.metadata_scores):
         if s < score_threshold:
-            side, col = _name_to_column(encoder, name)
-            if side == "u":
-                umeta[col] = donor.umeta[col]
-            else:
-                rmeta[col] = donor.rmeta[col]
-    after = float(forward(net, encode_pair(encoder, umeta, rmeta))[op]) > threshold
+            meta[p] = donor_meta[p]
+    after = float(forward(net, encode_positions(encoder, [meta])[0])[op]) > threshold
     return before == after
 
 

@@ -386,7 +386,7 @@ def test_criterion_09_distillation_fidelity(full_scale):
     tree8 = d.distill(net, encoder, train, 0, max_depth=8, min_samples_leaf=5)
     fid8 = d.fidelity(tree8, net, encoder, train, 0)
 
-    X = np.hstack([train.umeta_matrix(), train.rmeta_matrix()])
+    X = train.meta_matrix()
     _, first = np.unique(X, axis=0, return_index=True)
     unique_train = d.Dataset(
         train.num_user_meta, train.num_res_meta, train.num_ops,

@@ -98,6 +98,17 @@ class TestSynth:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_neg_ratio_is_single_line_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SYNTH_CFG.replace("neg_ratio = 1.0", f"neg_ratio = {value}"))
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "neg_ratio" in err
+        assert err.count("\n") == 1
+
+
 class TestIngest:
     SCHEMA_CFG = "user_meta_cols = dept, level\nresource_id_col = RESOURCE\nlabel_cols = ACTION\n"
 
@@ -159,6 +170,31 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "flags", [["--visible-user", "0"], ["--visible-user", "-1"], ["--visible-res", "0"]]
+    )
+    def test_visible_count_below_one_is_single_line_error(
+        self, workdir, tmp_path, capsys, flags
+    ):
+        _, data, _ = workdir
+        out = tmp_path / "m"
+        rc = main(["train", "--data", str(data), "--out", str(out), "--hidden", "8", *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: visible metadata counts must be positive")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_one_visible_flag_keeps_the_other_side_whole(self, workdir, tmp_path):
+        _, data, _ = workdir
+        out = tmp_path / "m"
+        rc = main(["train", "--data", str(data), "--out", str(out), "--hidden", "8",
+                   "--epochs", "1", "--visible-res", "2"])
+        assert rc == 0
+        header = (out / "encoder.txt").read_text().splitlines()[0]
+        assert header == "dlbac-encoder v1 onehot 4 2"
 
 
 class TestEval:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,11 @@ def small_config(**overrides):
 
 
 class TestSynthConfig:
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -0.5])
+    def test_rejects_non_finite_or_negative_neg_ratio(self, ratio):
+        with pytest.raises(ConfigError, match="neg_ratio"):
+            small_config(neg_ratio=ratio)
+
     def test_rejects_visible_over_total(self):
         with pytest.raises(ConfigError):
             small_config(num_user_meta=6, visible_user_meta=8)
@@ -162,6 +169,22 @@ class TestGenerateTuples:
         positives = [t for t in dset.tuples if any(t.ops)]
         assert len(negatives) == round(cfg.neg_ratio * len(positives))
 
+    def test_negatives_stop_once_every_free_pair_is_drawn(self, monkeypatch):
+        # 36 pairs, 3 granted: 3e5 negatives wanted, 33 possible
+        cfg = small_config(num_users=6, num_resources=6, num_rules=2, seed=1, neg_ratio=1e5)
+        rules = d.generate_rules(cfg)
+        users, resources = d.generate_entities(rules, cfg)
+        fewer = d.generate_tuples(rules, users, resources, replace(cfg, neg_ratio=1e3))
+        draws = []
+        randint = d.SplitMix64.randint
+        monkeypatch.setattr(
+            d.SplitMix64, "randint", lambda rng, n: draws.append(n) or randint(rng, n)
+        )
+        dset = d.generate_tuples(rules, users, resources, cfg)
+        assert sum(not any(t.ops) for t in dset.tuples) == 33
+        assert len(dset.tuples) == 36 and dset == fewer
+        assert len(draws) < 100 * 33
+
     def test_no_duplicate_pairs(self):
         dset, *_ = d.synthesize(small_config())
         keys = [(t.uid, t.rid) for t in dset.tuples]
@@ -271,6 +294,11 @@ class TestProjectVisible:
         full = self.make_13_13()
         proj = d.project_visible(full, 8, 8)
         assert [t.ops for t in proj.tuples] == [t.ops for t in full.tuples]
+
+    @pytest.mark.parametrize("visible", [(0, 8), (8, 0), (-1, 8)])
+    def test_rejects_visible_below_one(self, visible):
+        with pytest.raises(ConfigError, match="positive"):
+            d.project_visible(self.make_13_13(), *visible)
 
     def test_rejects_excess_visible(self):
         full = self.make_13_13()

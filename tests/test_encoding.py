@@ -93,6 +93,53 @@ class TestEncodeMatrix:
             d.encode_matrix(enc, np.zeros((2, 1)), np.zeros((3, 1)))
 
 
+class TestEncodePositions:
+    @pytest.mark.parametrize("scheme", ["onehot", "binary"])
+    def test_side_rows_are_the_column_slices_of_encode_matrix(self, scheme):
+        tuples = tuple(
+            d.AuthorizationTuple(i, i, (i % 3, i % 5), (i % 4,), (1,)) for i in range(12)
+        )
+        enc = d.build_encoder(d.Dataset(2, 1, 1, tuples), scheme)
+        rng = np.random.default_rng(0)
+        U = rng.integers(-1, 7, size=(30, 2))  # unseen values included
+        R = rng.integers(-1, 7, size=(30, 1))
+        X = d.encode_matrix(enc, U, R)
+        split = sum(enc.block_widths[:2])
+        assert np.array_equal(d.encode_positions(enc, U, 0), X[:, :split])
+        assert np.array_equal(d.encode_positions(enc, R, 2), X[:, split:])
+        assert np.array_equal(d.encode_positions(enc, np.hstack((U, R))), X)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda enc: d.encode_positions(enc, np.zeros(2, dtype=np.int64)),
+            lambda enc: d.encode_positions(enc, np.zeros((1, 1, 2), dtype=np.int64)),
+            lambda enc: d.encode_matrix(enc, np.zeros(1), np.zeros(1)),
+            lambda enc: d.encode_pair(enc, [1.5], [5]),
+            lambda enc: d.encode_positions(enc, [[np.nan, 5.0]]),
+            lambda enc: d.encode_positions(enc, [[np.inf, 5.0]]),
+            lambda enc: d.encode_positions(enc, [[1e30, 5.0]]),
+            lambda enc: d.encode_positions(enc, [["1", "5"]]),
+            lambda enc: d.encode_positions(enc, np.zeros((1, 2), dtype=np.int64), 1),
+            lambda enc: d.encode_positions(enc, np.zeros((1, 3), dtype=np.int64)),
+            lambda enc: d.encode_positions(enc, np.zeros((1, 1), dtype=np.int64), -1),
+            lambda enc: d.encode_positions(enc, np.zeros((1, 0), dtype=np.int64), 3),
+            lambda enc: d.encode_dataset(
+                enc, d.Dataset(2, 0, 1, (d.AuthorizationTuple(0, 0, (1, 5), (), (1,)),))
+            ),
+        ],
+        ids=["1-d", "3-d", "1-d-sides", "fraction", "nan", "inf", "huge", "text",
+             "past-end", "too-wide", "negative-first", "first-past-end", "other-split"],
+    )
+    def test_bad_input_rejected(self, call):
+        with pytest.raises(ConfigError):
+            call(d.build_encoder(tiny_dataset(), "onehot"))
+
+    def test_whole_floats_encode_like_ints(self):
+        enc = d.build_encoder(tiny_dataset(), "binary")
+        assert np.array_equal(d.encode_pair(enc, [2.0], [9.0]), d.encode_pair(enc, (2,), (9,)))
+
+
 class TestBuildEncoder:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@ import socket
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import dlbac as d
@@ -140,6 +141,39 @@ class TestPreEncodedRows:
         users, resources = store.rows(onehot)
         assert store.rows(onehot)[0] is users and store.rows(onehot)[1] is resources
 
+    def test_features_are_the_encoded_pair(self, unseen_setup):
+        pairs, store = unseen_setup
+        for _, enc in pairs:
+            for uid in store.user_ids:
+                for rid in store.resource_ids:
+                    umeta, rmeta = store.lookup_user(uid), store.lookup_resource(rid)
+                    want = d.encode_pair(enc, umeta, rmeta)
+                    assert np.array_equal(store.features(enc, uid, rid), want)
+        with pytest.raises(NotFoundError, match="^unknown user 999999$"):
+            store.features(enc, 999999, 999998)
+        with pytest.raises(NotFoundError, match="^unknown resource 999998$"):
+            store.features(enc, store.user_ids[0], 999998)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["onehot", "binary"])
+    def test_local_explain_is_ig_on_the_encoded_pair(self, unseen_setup, which):
+        pairs, store = unseen_setup
+        net, enc = pairs[which]
+        for uid in store.user_ids[::3]:
+            for rid in store.resource_ids[::3]:
+                x = d.encode_pair(enc, store.lookup_user(uid), store.lookup_resource(rid))
+                for op in range(net.config.num_ops):
+                    want = d.integrated_gradients(net, x, np.zeros_like(x), op, 16)
+                    got = d.local_explain(net, enc, store, uid, rid, op, steps=16)
+                    assert np.array_equal(got.feature_scores, want)
+                    assert np.array_equal(got.metadata_scores, d.aggregate(want, enc))
+
+    def test_store_and_encoder_layouts_must_agree(self, unseen_setup):
+        pairs, store = unseen_setup
+        enc = pairs[0][1]
+        other = d.Encoder(enc.scheme, 2, 4, enc.seen_values)
+        with pytest.raises(ConfigError, match="encoder positions"):
+            store.features(other, store.user_ids[0], store.resource_ids[0])
+
     def test_threads_alternating_encoders_stay_bit_exact(self, unseen_setup):
         # the server's threads share one store; a torn cache would pair one
         # encoder's rows with the other encoder's network
@@ -205,7 +239,9 @@ class TestProtocolLines:
 
     @pytest.mark.parametrize(
         "line",
-        ["", "DECIDE 1 2", "DECIDE 1 2 3 4", "DECIDE a b c", "GRANT 1 2 3", "ping"],
+        ["", "DECIDE 1 2", "DECIDE 1 2 3 4", "DECIDE a b c", "GRANT 1 2 3", "ping",
+         "DECIDE \u0661 \u0662 0", "DECIDE 0_0 0 0", "DECIDE +0 0 0", "DECIDE 0 0 1.0",
+         "DECIDE " + "9" * 5000 + " 0 0"],
     )
     def test_malformed_requests(self, setup, line):
         net, enc, store, _ = setup

@@ -283,6 +283,82 @@ class TestFlipStudy:
             d.flip_study(net, enc, dset, 0, denied, list(enc.names))
 
 
+def side_based_flip_study(net, enc, dset, op, donor, order, threshold=0.5):
+    """flip_study on separate user and resource matrices."""
+    U = np.array([t.umeta for t in dset.tuples])
+    R = np.array([t.rmeta for t in dset.tuples])
+    denied = d.forward(net, d.encode_matrix(enc, U, R))[:, op] <= threshold
+    U, R = U[denied], R[denied]
+    fractions = [0.0]
+    for name in order:
+        col = int(name[5:])
+        if name.startswith("umeta"):
+            U[:, col] = donor.umeta[col]
+        else:
+            R[:, col] = donor.rmeta[col]
+        probs = d.forward(net, d.encode_matrix(enc, U, R))[:, op]
+        fractions.append(float(np.mean(probs > threshold)))
+    return d.FlipCurve(tuple(order), tuple(fractions))
+
+
+def side_based_insignificance(net, enc, tup, donor, op, score_threshold, steps):
+    """insignificance_check on separate user and resource vectors."""
+    x = d.encode_pair(enc, tup.umeta, tup.rmeta)
+    scores = d.aggregate(d.integrated_gradients(net, x, np.zeros_like(x), op, steps), enc)
+    umeta, rmeta = list(tup.umeta), list(tup.rmeta)
+    for name, s in zip(enc.names, scores):
+        if s < score_threshold:
+            col = int(name[5:])
+            if name.startswith("umeta"):
+                umeta[col] = donor.umeta[col]
+            else:
+                rmeta[col] = donor.rmeta[col]
+    after = d.encode_pair(enc, umeta, rmeta)
+    return (d.forward(net, x)[op] > 0.5) == (d.forward(net, after)[op] > 0.5)
+
+
+class TestSideBasedOracle:
+    def test_flip_study(self, trained):
+        net, enc, dset = trained
+        donor = pick_donor(net, enc, dset, 0)
+        attr = d.global_explain(net, enc, dset, 0, sample_n=20, steps=16)
+        for order in (d.significance_order(attr), list(enc.names)[::-1]):
+            want = side_based_flip_study(net, enc, dset, 0, donor, order)
+            assert d.flip_study(net, enc, dset, 0, donor, order) == want
+
+    def test_insignificance_check(self, trained):
+        net, enc, dset = trained
+        donor = pick_donor(net, enc, dset, 0)
+        cases = [(t, s) for t in dset.tuples[:40] for s in (0.05, 0.3, 0.7, 1.1)]
+        got = [d.insignificance_check(net, enc, t, donor, 0, s, steps=8) for t, s in cases]
+        want = [side_based_insignificance(net, enc, t, donor, 0, s, 8) for t, s in cases]
+        assert got == want
+        assert not all(got)  # some replacement moved a decision
+
+    def test_other_layout_rejected(self, trained):
+        # same number of positions, split 5 + 3 instead of the encoder's 4 + 4
+        net, enc, dset = trained
+        donor = pick_donor(net, enc, dset, 0)
+        moved = [d.AuthorizationTuple(t.uid, t.rid, t.umeta + t.rmeta[:1], t.rmeta[1:], t.ops)
+                 for t in dset.tuples]
+        other = d.Dataset(5, 3, dset.num_ops, tuple(moved))
+        for call in (
+            lambda: d.global_explain(net, enc, other, 0, sample_n=5, steps=4),
+            lambda: d.flip_study(net, enc, other, 0, donor, list(enc.names)),
+            lambda: d.flip_study(net, enc, dset, 0, moved[0], list(enc.names)),
+            lambda: d.insignificance_check(net, enc, moved[0], donor, 0, steps=4),
+            lambda: d.insignificance_check(net, enc, dset.tuples[0], moved[0], 0, steps=4),
+        ):
+            with pytest.raises(ConfigError, match="encoder positions"):
+                call()
+
+    def test_unknown_name_still_rejected(self, trained):
+        net, enc, dset = trained
+        donor = pick_donor(net, enc, dset, 0)
+        with pytest.raises(ConfigError, match="unknown metadata name 'xmeta0'"):
+            d.flip_study(net, enc, dset, 0, donor, ["xmeta0"])
+
+
 class TestInsignificance:
     def test_replacing_nothing_keeps_decision(self, trained):
         # score_threshold 0 replaces no metadata at all
