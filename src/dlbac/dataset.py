@@ -302,6 +302,14 @@ def evaluate_rule(rule: Rule, user: Entity, resource: Entity) -> set[int]:
     return set(rule.ops)
 
 
+def _matching(M: np.ndarray, conditions) -> np.ndarray:
+    """Row indices of M whose value at each condition's column is among its values."""
+    mask = np.ones(len(M), dtype=bool)
+    for index, values in conditions:
+        mask &= np.isin(M[:, index], np.array(values, dtype=np.int64))
+    return np.flatnonzero(mask)
+
+
 def generate_tuples(
     rules: list[Rule],
     users: list[Entity],
@@ -313,62 +321,39 @@ def generate_tuples(
     One tuple per pair granted at least one operation (ops = union over all
     satisfied rules) plus round(neg_ratio * positives) all-deny pairs sampled
     uniformly from the remaining pairs, or every remaining pair when there
-    are fewer.
+    are fewer.  A rule's grants are the true cells of one boolean matrix over
+    the users x resources its conditions match, one AND per constraint.
     """
     U = np.array([u.meta for u in users], dtype=np.int64)
     R = np.array([r.meta for r in resources], dtype=np.int64)
     n_res = len(resources)
 
-    grants: dict[int, int] = {}  # user_idx * n_res + res_idx -> op bitmask
+    labels: dict[int, int] = {}  # user_idx * n_res + res_idx -> op bitmask, 0 if negative
     for rule in rules:
-        mu = np.ones(len(users), dtype=bool)
-        for index, values in rule.uae:
-            mu &= np.isin(U[:, index], np.array(values, dtype=np.int64))
-        mr = np.ones(n_res, dtype=bool)
-        for index, values in rule.rae:
-            mr &= np.isin(R[:, index], np.array(values, dtype=np.int64))
-        u_idx = np.flatnonzero(mu)
-        r_idx = np.flatnonzero(mr)
-        if u_idx.size == 0 or r_idx.size == 0:
-            continue
-        mask = 0
-        for op in rule.ops:
-            mask |= 1 << op
-        for ui, ri in _rule_pairs(rule, U, R, u_idx, r_idx):
-            key = int(ui) * n_res + int(ri)
-            grants[key] = grants.get(key, 0) | mask
+        u_idx, r_idx = _matching(U, rule.uae), _matching(R, rule.rae)
+        granted = np.ones((u_idx.size, r_idx.size), dtype=bool)
+        for cu, cr in rule.constraints:
+            granted &= U[u_idx, cu][:, None] == R[r_idx, cr][None, :]
+        ui, ri = np.nonzero(granted)
+        mask = sum(1 << op for op in rule.ops)
+        for key in (u_idx[ui] * n_res + r_idx[ri]).tolist():
+            labels[key] = labels.get(key, 0) | mask
 
     rng = SplitMix64(derive_seed(config.seed, _TUPLES_TAG))
-    n_neg = int(round(config.neg_ratio * len(grants)))
-    negatives: set[int] = set()
+    n_pos = len(labels)
+    n_neg = int(round(config.neg_ratio * n_pos))
     total_pairs = len(users) * n_res
-    wanted = min(n_neg, total_pairs - len(grants))
-    attempts = 0
-    while len(negatives) < wanted and attempts < 100 * max(n_neg, 1):
-        key = rng.randint(total_pairs)
-        attempts += 1
-        if key not in grants and key not in negatives:
-            negatives.add(key)
-
-    records = []
-    for key, mask in grants.items():
-        records.append((key, mask))
-    for key in negatives:
-        records.append((key, 0))
+    wanted = n_pos + min(n_neg, total_pairs - n_pos)
+    for _ in range(100 * max(n_neg, 1)):
+        if len(labels) >= wanted:
+            break
+        labels.setdefault(rng.randint(total_pairs), 0)
 
     tuples = []
-    for key, mask in records:
-        ui, ri = divmod(key, n_res)
+    for key, mask in labels.items():
+        user, resource = users[key // n_res], resources[key % n_res]
         ops = tuple((mask >> op) & 1 for op in range(config.num_ops))
-        tuples.append(
-            AuthorizationTuple(
-                uid=users[ui].id,
-                rid=resources[ri].id,
-                umeta=users[ui].meta,
-                rmeta=resources[ri].meta,
-                ops=ops,
-            )
-        )
+        tuples.append(AuthorizationTuple(user.id, resource.id, user.meta, resource.meta, ops))
     tuples.sort(key=lambda t: (t.uid, t.rid))
     return Dataset(
         num_user_meta=config.num_user_meta,
@@ -376,24 +361,6 @@ def generate_tuples(
         num_ops=config.num_ops,
         tuples=tuple(tuples),
     )
-
-
-def _rule_pairs(rule, U, R, u_idx, r_idx):
-    """(user_idx, res_idx) pairs satisfying the rule's constraints."""
-    if not rule.constraints:
-        for ui in u_idx:
-            for ri in r_idx:
-                yield ui, ri
-        return
-    cu, cr = rule.constraints[0]
-    shared = np.intersect1d(U[u_idx, cu], R[r_idx, cr])
-    for v in shared:
-        us = u_idx[U[u_idx, cu] == v]
-        rs = r_idx[R[r_idx, cr] == v]
-        for ui in us:
-            for ri in rs:
-                if all(U[ui, a] == R[ri, b] for a, b in rule.constraints[1:]):
-                    yield ui, ri
 
 
 def synthesize(config: SynthConfig):
@@ -596,7 +563,8 @@ def ingest_csv(text: str, schema: CsvSchema) -> Dataset:
         raise IngestError(f"missing column(s): {', '.join(sorted(missing))}")
 
     uid_of: dict[tuple[int, ...], int] = {}
-    records: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+    rmeta_of: dict[int, tuple[tuple[int, ...], int]] = {}  # rid -> (rmeta, first row)
+    records: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}  # -> (labels, row)
     for row_no, row in _csv_rows(reader):
         if None in row:  # DictReader's key for cells beyond the header
             raise IngestError(f"row {row_no}: more cells than header columns")
@@ -612,28 +580,26 @@ def ingest_csv(text: str, schema: CsvSchema) -> Dataset:
             if v not in (0, 1):
                 raise IngestError(f"row {row_no}: label {v} in column {c!r} not in {{0, 1}}")
             labels.append(v)
+        prev_rmeta, prev_row = rmeta_of.setdefault(rid, (rmeta, row_no))
+        if prev_rmeta != rmeta:
+            raise IngestError(
+                f"rows {prev_row} and {row_no}: resource {rid} with conflicting metadata"
+            )
         uid = uid_of.setdefault(umeta, len(uid_of))
-        key = (uid, rid)
-        if key in records:
-            prev_labels, _prev_rmeta, prev_row = records[key]
-            if prev_labels != tuple(labels):
-                raise IngestError(
-                    f"rows {prev_row} and {row_no}: duplicate (user, resource) "
-                    "with conflicting labels"
-                )
-            continue
-        records[key] = (tuple(labels), rmeta, row_no)
+        prev_labels, prev_row = records.setdefault((uid, rid), (tuple(labels), row_no))
+        if prev_labels != tuple(labels):
+            raise IngestError(
+                f"rows {prev_row} and {row_no}: duplicate (user, resource) "
+                "with conflicting labels"
+            )
 
-    tuples = []
-    inv_uid = {}
-    for umeta, uid in uid_of.items():
-        inv_uid[uid] = umeta
-    for (uid, rid), (labels, rmeta, _row) in sorted(records.items()):
-        tuples.append(AuthorizationTuple(uid, rid, inv_uid[uid], rmeta, labels))
-    num_res_meta = len(schema.res_meta_cols) if schema.res_meta_cols else 1
+    umeta_of = {uid: umeta for umeta, uid in uid_of.items()}
     return Dataset(
         num_user_meta=len(schema.user_meta_cols),
-        num_res_meta=num_res_meta,
+        num_res_meta=len(schema.res_meta_cols) if schema.res_meta_cols else 1,
         num_ops=len(schema.label_cols),
-        tuples=tuple(tuples),
+        tuples=tuple(
+            AuthorizationTuple(uid, rid, umeta_of[uid], rmeta_of[rid][0], labels)
+            for (uid, rid), (labels, _row) in sorted(records.items())
+        ),
     )

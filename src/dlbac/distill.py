@@ -69,7 +69,8 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
     MSE (both divide by the fixed node size).  The prefix-sum scan only
     shortlists near-minimal candidates; finalists are re-scored with the
     plain two-pass formula so exact SSE ties break deterministically toward
-    the lowest feature index, then the lowest threshold.
+    the lowest feature index, then the lowest threshold.  Needs
+    n >= 2 * min_leaf, which `_grow` checks.
     """
     n = len(y)
     best = None
@@ -84,10 +85,7 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
         # split after position i (left size i); candidates only between
         # distinct consecutive values, honoring the leaf-size floor
         sizes = np.arange(min_leaf, n - min_leaf + 1)
-        if sizes.size == 0:
-            continue
-        valid = xs[sizes - 1] != xs[np.minimum(sizes, n - 1)]
-        sizes = sizes[valid & (sizes < n)]
+        sizes = sizes[xs[sizes - 1] != xs[sizes]]
         if sizes.size == 0:
             continue
         left_sum = cum[sizes - 1]

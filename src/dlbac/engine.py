@@ -3,8 +3,10 @@
 The wire protocol is newline-delimited ASCII over TCP: `DECIDE <uid> <rid>
 <op>` (each field ASCII `-?[0-9]+`) answers `GRANT <prob>` or `DENY <prob>`
 (six decimals), `PING` answers `PONG`, anything else answers `ERR <reason>`.
-Every input line yields exactly one reply line and request errors never
-terminate the server.
+Only ASCII whitespace separates fields or pads a line.  Every input line
+yields exactly one reply line and request errors never terminate the
+server.  A line longer than `MAX_LINE` bytes before its newline answers
+`ERR line too long`, and the server then closes that connection.
 
 A pair's metadata is one row of positions, user positions first.  A store
 encodes each user's positions (from position 0) and each resource's (from
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import re
 import socketserver
+import string
 import threading
 from dataclasses import dataclass
 
@@ -26,6 +29,8 @@ from .dataset import Dataset
 from .encoding import Encoder, encode_positions
 from .errors import ConfigError, ConflictError, NotFoundError
 from .neuralnet import Network, forward
+
+MAX_LINE = 1024  # bytes in one request line, not counting its newline
 
 
 @dataclass(frozen=True)
@@ -159,14 +164,14 @@ def format_decision(d: Decision) -> str:
     return f"{verdict} {d.probability:.6f}"
 
 
-_DECIDE = re.compile(r"DECIDE\s+(-?[0-9]+)\s+(-?[0-9]+)\s+(-?[0-9]+)")
+_DECIDE = re.compile(r"DECIDE\s+(-?[0-9]+)\s+(-?[0-9]+)\s+(-?[0-9]+)", re.ASCII)
 
 
 def handle_line(
     line: str, net: Network, encoder: Encoder, store: MetadataStore, threshold: float
 ) -> str:
     """One reply line per input line; the protocol's whole request logic."""
-    line = line.strip()
+    line = line.strip(string.whitespace)
     if line == "PING":
         return "PONG"
     m = _DECIDE.fullmatch(line)
@@ -185,7 +190,10 @@ def handle_line(
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         srv = self.server
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE + 1):
+            if len(raw) > MAX_LINE and not raw.endswith(b"\n"):
+                self.wfile.write(b"ERR line too long\n")
+                return
             reply = handle_line(
                 raw.decode("utf-8", errors="replace"),
                 srv.net,

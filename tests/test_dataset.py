@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +197,105 @@ class TestGenerateTuples:
         b = d.serialize_dataset(d.synthesize(cfg)[0])
         assert a == b
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(), dict(seed=3, constraint_prob=1.0), dict(seed=5, constraint_prob=0.0),
+         dict(seed=8, constraint_prob=1.0, value_distribution="zipf", neg_ratio=1.2),
+         dict(seed=12, num_user_meta=3, num_res_meta=2, value_set_sizes=(6,) * 5,
+              visible_user_meta=3, visible_res_meta=2, constraint_prob=1.0, num_rules=6)],
+    )
+    def test_positives_equal_the_pairwise_oracle(self, overrides):
+        cfg = small_config(**overrides)
+        dset, rules, users, resources = d.synthesize(cfg)
+        assert _positives(dset) == _oracle_grants(rules, users, resources)
+
+    def test_multi_value_conditions_and_two_constraints(self):
+        # shapes `_draw_rule` never emits: several admissible values per
+        # condition, two constraints, two constraints sharing a user column
+        cfg = small_config(
+            num_users=60, num_resources=60, num_user_meta=4, num_res_meta=4,
+            num_rules=3, value_set_sizes=(6,) * 8, visible_user_meta=4,
+            visible_res_meta=4, neg_ratio=0.7, seed=21,
+        )
+        rules = [
+            d.Rule(uae=((0, (1, 2, 3)),), rae=((1, (0, 4)),), ops=frozenset({0, 2}),
+                   constraints=((1, 0), (2, 2))),
+            d.Rule(uae=((0, (2,)), (3, (0, 1, 2, 3, 4, 5))), rae=((0, (1, 2)),),
+                   ops=frozenset({1}), constraints=((1, 1), (2, 3))),
+            d.Rule(uae=((3, (4, 5)),), rae=((2, (0, 1, 2)),), ops=frozenset({3, 0}),
+                   constraints=((0, 0), (0, 3))),
+        ]
+        users, resources = d.generate_entities(rules, cfg)
+        dset = d.generate_tuples(rules, users, resources, cfg)
+        expected = _oracle_grants(rules, users, resources)
+        assert len(expected) > 0
+        assert _positives(dset) == expected
+        meta = {(t.uid, t.rid): (t.umeta, t.rmeta) for t in dset.tuples}
+        assert all(meta[u.id, r.id] == (u.meta, r.meta) for u in users for r in resources
+                   if (u.id, r.id) in meta)
+        assert len(dset) - len(expected) == round(cfg.neg_ratio * len(expected))
+
+    def test_acceptance_dataset_is_pinned(self):
+        cfg = d.SynthConfig(
+            num_users=4500, num_resources=4500, num_user_meta=8, num_res_meta=8,
+            num_rules=20, num_ops=4, value_set_sizes=(20,) * 16, seed=29, neg_ratio=0.3,
+        )
+        text = d.serialize_dataset(d.synthesize(cfg)[0])
+        assert text.count("\n") == 11905  # header and 11,904 tuples
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "54071e29a4e80ad9"
+
+
+def _oracle_grants(rules, users, resources):
+    """(uid, rid) -> granted ops for every pair, scored one pair at a time."""
+    grants = {}
+    for u in users:
+        for r in resources:
+            ops = set().union(*(d.evaluate_rule(rule, u, r) for rule in rules))
+            if ops:
+                grants[u.id, r.id] = ops
+    return grants
+
+
+def _positives(dset):
+    return {
+        (t.uid, t.rid): {op for op, bit in enumerate(t.ops) if bit}
+        for t in dset.tuples
+        if any(t.ops)
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_rules=st.integers(1, 4),
+    extra=st.tuples(st.integers(0, 10), st.integers(0, 10)),
+    metas=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    num_ops=st.integers(1, 4),
+    constraint_prob=st.sampled_from([0.0, 0.5, 1.0]),
+    neg_ratio=st.floats(0.0, 2.0),
+    zipf=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_random_configs_match_the_pairwise_oracle(
+    num_rules, extra, metas, num_ops, constraint_prob, neg_ratio, zipf, seed
+):
+    nu, nr = metas
+    cfg = d.SynthConfig(
+        num_users=num_rules + extra[0], num_resources=num_rules + extra[1],
+        num_user_meta=nu, num_res_meta=nr, num_rules=num_rules, num_ops=num_ops,
+        value_set_sizes=(6,) * (nu + nr), visible_user_meta=nu, visible_res_meta=nr,
+        constraint_prob=constraint_prob, seed=seed, neg_ratio=neg_ratio,
+        value_distribution="zipf" if zipf else "uniform",
+    )
+    try:
+        dset, rules, users, resources = d.synthesize(cfg)
+    except d.SynthesisError:  # no free visible position left for a constraint
+        return
+    positives = _positives(dset)
+    assert positives == _oracle_grants(rules, users, resources)
+    free = len(users) * len(resources) - len(positives)
+    assert len(dset) - len(positives) <= min(round(neg_ratio * len(positives)), free)
+    assert len({(t.uid, t.rid) for t in dset.tuples}) == len(dset)
+
 
 class TestFileFormat:
     def test_parses_documented_example_tuple(self):
@@ -366,6 +466,21 @@ class TestIngestCsv:
         text = CSV_TEXT + "3,1,900,0\n"
         with pytest.raises(IngestError, match="rows 2 and 5"):
             d.ingest_csv(text, self.schema)
+
+    @pytest.mark.parametrize("second", ["2,900,4,0", "1,900,4,1"])
+    def test_resource_with_conflicting_metadata_lists_both_rows(self, second):
+        # another user's row, then a repeated pair's row
+        schema = d.CsvSchema(("dept",), "rid", ("read",), res_meta_cols=("rtype",))
+        text = f"dept,rid,rtype,read\n1,900,3,1\n{second}\n"
+        with pytest.raises(IngestError, match="rows 2 and 3: resource 900"):
+            d.ingest_csv(text, schema)
+
+    def test_resource_metadata_columns_kept(self):
+        schema = d.CsvSchema(("dept",), "rid", ("read",), res_meta_cols=("rtype",))
+        dset = d.ingest_csv("dept,rid,rtype,read\n1,900,3,1\n2,900,3,0\n", schema)
+        assert [(t.uid, t.rid, t.rmeta, t.ops) for t in dset.tuples] == [
+            (0, 900, (3,), (1,)), (1, 900, (3,), (0,))
+        ]
 
     def test_agreeing_duplicate_collapses(self):
         text = CSV_TEXT + "3,1,900,1\n"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dlbac as d
+from dlbac import engine
 from dlbac.engine import handle_line
 from dlbac.errors import ConfigError, ConflictError, NotFoundError
 
@@ -241,7 +242,9 @@ class TestProtocolLines:
         "line",
         ["", "DECIDE 1 2", "DECIDE 1 2 3 4", "DECIDE a b c", "GRANT 1 2 3", "ping",
          "DECIDE \u0661 \u0662 0", "DECIDE 0_0 0 0", "DECIDE +0 0 0", "DECIDE 0 0 1.0",
-         "DECIDE " + "9" * 5000 + " 0 0"],
+         "DECIDE " + "9" * 5000 + " 0 0",
+         # Unicode whitespace is neither a separator nor padding
+         "DECIDE\xa00\xa0100\xa00", "PING\x1c", "\u2003PING"],
     )
     def test_malformed_requests(self, setup, line):
         net, enc, store, _ = setup
@@ -282,6 +285,24 @@ class TestServer:
                 f.write("PING\n")
                 f.flush()
                 assert f.readline().strip() == "PONG"
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_overlong_line_answers_err_and_closes(self, setup, monkeypatch):
+        net, enc, store, _ = setup
+        monkeypatch.setattr(engine, "MAX_LINE", 16)
+        server = d.serve(net, enc, store, host="127.0.0.1", port=0)
+        try:
+            with socket.create_connection(server.server_address, timeout=5) as sock:
+                f = sock.makefile("rwb")
+                f.write(b"PING" + b" " * 12 + b"\n")  # 16 bytes: at the cap
+                f.flush()
+                assert f.readline() == b"PONG\n"
+                f.write(b"PING" + b" " * 13)  # 17 bytes and no newline yet
+                f.flush()
+                assert f.readline() == b"ERR line too long\n"
+                assert f.readline() == b""  # the server closed the connection
         finally:
             server.shutdown()
             server.server_close()
