@@ -13,7 +13,6 @@ from .dataset import (
     Entity,
     Rule,
     SynthConfig,
-    evaluate_rule,
     generate_entities,
     generate_rules,
     generate_tuples,

@@ -242,12 +242,14 @@ def _cmd_flip_study(args) -> int:
     net = _load_model(args.model)
     encoder = _load_encoder(args.encoder or args.model)
     data = _load_dataset(args.data)
-    donor = next(
-        (t for t in data.tuples if t.uid == args.donor_uid and t.rid == args.donor_rid),
-        None,
+    try:
+        i = data.ids.tolist().index([args.donor_uid, args.donor_rid])
+    except ValueError:
+        raise ConfigError(f"donor ({args.donor_uid}, {args.donor_rid}) not in dataset") from None
+    meta, ops, nu = data.M[i].tolist(), tuple(data.Y[i].tolist()), data.num_user_meta
+    donor = ds.AuthorizationTuple(
+        args.donor_uid, args.donor_rid, tuple(meta[:nu]), tuple(meta[nu:]), ops
     )
-    if donor is None:
-        raise ConfigError(f"donor ({args.donor_uid}, {args.donor_rid}) not in dataset")
     glob = itp.global_explain(
         net, encoder, data, args.op, 1, args.samples, args.seed, args.steps
     )

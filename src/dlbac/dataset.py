@@ -1,19 +1,26 @@
 """Authorization-tuple datasets: synthesis, file format, projection, splitting.
 
-A dataset is a list of (user, resource) records, each carrying the raw
-categorical metadata of both sides and a per-operation grant/deny bit
-vector.  Synthesis starts from conjunctive rules; ground-truth labels are
-always computed against the FULL metadata, while `project_visible` later
-hides trailing metadata columns from the learner.
+A dataset is three read-only int64 columns: (uid, rid) pairs, their raw
+categorical metadata (user positions, then resource positions) and one
+grant/deny bit per operation.  Every stage reads and writes these columns;
+the file parser and CSV ingestion reject values outside int64.
+`Dataset.tuples` is a view of the rows as `AuthorizationTuple`s of Python
+ints, built on first access, that no stage of the pipeline reads.
+
+Synthesis starts from conjunctive rules; ground-truth labels are always
+computed against the FULL metadata, while `project_visible` later hides
+trailing metadata columns from the learner.
 """
 
 from __future__ import annotations
 
+import array
 import csv
+import functools
 import io
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +33,7 @@ _TUPLES_TAG = 3
 
 MIN_VALUE_SET = 6
 MAX_VALUE_SET = 20
+_MAX_COUNT = 2**31 - 1  # metadata or operation count a dataset accepts
 
 
 @dataclass(frozen=True)
@@ -126,37 +134,62 @@ class AuthorizationTuple:
     ops: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Dataset:
-    num_user_meta: int
-    num_res_meta: int
-    num_ops: int
-    tuples: tuple[AuthorizationTuple, ...]
+    """Read-only int64 columns `ids` (n x 2), `M` (n x (nu + nr)), `Y` (n x num_ops)."""
 
-    def __post_init__(self):
-        for t in self.tuples:
-            if (
-                len(t.umeta) != self.num_user_meta
-                or len(t.rmeta) != self.num_res_meta
-                or len(t.ops) != self.num_ops
-            ):
-                raise FormatError(
-                    f"tuple ({t.uid}, {t.rid}) is inconsistent with the header"
-                )
+    _FIELDS = ("num_user_meta", "num_res_meta", "num_ops", "ids", "M", "Y")
+
+    def __init__(self, num_user_meta: int, num_res_meta: int, num_ops: int, tuples):
+        for t in tuples:
+            if (len(t.umeta), len(t.rmeta), len(t.ops)) != (num_user_meta, num_res_meta, num_ops):
+                raise FormatError(f"tuple ({t.uid}, {t.rid}) is inconsistent with the header")
+        try:
+            columns = Dataset._of(
+                num_user_meta, num_res_meta, num_ops, [(t.uid, t.rid) for t in tuples],
+                [(*t.umeta, *t.rmeta) for t in tuples], [t.ops for t in tuples],
+            )
+        except OverflowError:
+            raise FormatError("a tuple holds a value outside the int64 range") from None
+        self.__dict__.update(vars(columns))
+
+    @classmethod
+    def _of(cls, num_user_meta: int, num_res_meta: int, num_ops: int, ids, M, Y) -> Dataset:
+        """A dataset over these columns, each made a read-only int64 array."""
+        counts = (num_user_meta, num_res_meta, num_ops)
+        if not all(0 <= c <= _MAX_COUNT for c in counts):
+            raise FormatError(f"counts {counts} must lie in [0, {_MAX_COUNT}]")
+        dataset = cls.__new__(cls)
+        dataset.num_user_meta, dataset.num_res_meta, dataset.num_ops = counts
+        widths = (2, num_user_meta + num_res_meta, num_ops)
+        for name, a, k in zip(("ids", "M", "Y"), (ids, M, Y), widths):
+            a = np.ascontiguousarray(a, dtype=np.int64).reshape(len(ids), k)
+            a.flags.writeable = False
+            setattr(dataset, name, a)
+        return dataset
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self._FIELDS)
+
+    @functools.cached_property
+    def tuples(self) -> tuple[AuthorizationTuple, ...]:
+        """The rows as `AuthorizationTuple`s of Python ints, built on first access."""
+        nu, rows = self.num_user_meta, (a.tolist() for a in (self.ids, self.M, self.Y))
+        return tuple(
+            AuthorizationTuple(uid, rid, tuple(meta[:nu]), tuple(meta[nu:]), tuple(ops))
+            for (uid, rid), meta, ops in zip(*rows)
+        )
 
     def meta_matrix(self) -> np.ndarray:
         """One row of positions per tuple: user metadata, then resource metadata."""
-        return np.array([t.umeta + t.rmeta for t in self.tuples], dtype=np.int64).reshape(
-            len(self.tuples), self.num_user_meta + self.num_res_meta
-        )
+        return self.M
 
     def labels_matrix(self) -> np.ndarray:
-        return np.array([t.ops for t in self.tuples], dtype=np.int64).reshape(
-            len(self.tuples), self.num_ops
-        )
+        return self.Y
 
 
 def metadata_names(num_user_meta: int, num_res_meta: int) -> list[str]:
@@ -285,23 +318,6 @@ def generate_entities(
     return users, resources
 
 
-def evaluate_rule(rule: Rule, user: Entity, resource: Entity) -> set[int]:
-    """Operations the rule grants to (user, resource); empty if unsatisfied.
-
-    Evaluation uses full metadata, hidden positions included.
-    """
-    for index, values in rule.uae:
-        if user.meta[index] not in values:
-            return set()
-    for index, values in rule.rae:
-        if resource.meta[index] not in values:
-            return set()
-    for cu, cr in rule.constraints:
-        if user.meta[cu] != resource.meta[cr]:
-            return set()
-    return set(rule.ops)
-
-
 def _matching(M: np.ndarray, conditions) -> np.ndarray:
     """Row indices of M whose value at each condition's column is among its values."""
     mask = np.ones(len(M), dtype=bool)
@@ -335,7 +351,7 @@ def generate_tuples(
         for cu, cr in rule.constraints:
             granted &= U[u_idx, cu][:, None] == R[r_idx, cr][None, :]
         ui, ri = np.nonzero(granted)
-        mask = sum(1 << op for op in rule.ops)
+        mask = sum(1 << op for op in rule.ops if op < config.num_ops)
         for key in (u_idx[ui] * n_res + r_idx[ri]).tolist():
             labels[key] = labels.get(key, 0) | mask
 
@@ -349,17 +365,17 @@ def generate_tuples(
             break
         labels.setdefault(rng.randint(total_pairs), 0)
 
-    tuples = []
-    for key, mask in labels.items():
-        user, resource = users[key // n_res], resources[key % n_res]
-        ops = tuple((mask >> op) & 1 for op in range(config.num_ops))
-        tuples.append(AuthorizationTuple(user.id, resource.id, user.meta, resource.meta, ops))
-    tuples.sort(key=lambda t: (t.uid, t.rid))
-    return Dataset(
-        num_user_meta=config.num_user_meta,
-        num_res_meta=config.num_res_meta,
-        num_ops=config.num_ops,
-        tuples=tuple(tuples),
+    keys = np.fromiter(labels, dtype=np.int64, count=len(labels))
+    # op bitmasks past bit 62 stay Python ints
+    masks = np.array(list(labels.values()), dtype=np.int64 if config.num_ops < 63 else object)
+    user_idx, res_idx = np.divmod(keys, n_res)
+    uids = np.array([u.id for u in users], dtype=np.int64)[user_idx]
+    rids = np.array([r.id for r in resources], dtype=np.int64)[res_idx]
+    order = np.lexsort((rids, uids))  # stable: by (uid, rid)
+    bits = (masks[order, None] >> np.arange(config.num_ops)) & 1
+    return Dataset._of(
+        config.num_user_meta, config.num_res_meta, config.num_ops,
+        np.column_stack((uids, rids))[order], np.hstack((U[user_idx], R[res_idx]))[order], bits,
     )
 
 
@@ -383,76 +399,65 @@ _HEADER_PREFIX = "dlbac-ds v1"
 
 def serialize_dataset(dataset: Dataset) -> str:
     """Canonical text form: header line then tuples sorted by (uid, rid)."""
-    lines = [
-        f"{_HEADER_PREFIX} {dataset.num_user_meta} {dataset.num_res_meta} {dataset.num_ops}"
-    ]
-    for t in sorted(dataset.tuples, key=lambda t: (t.uid, t.rid)):
-        lines.append(
-            f"{t.uid} {t.rid} | "
-            + " ".join(str(v) for v in t.umeta)
-            + " | "
-            + " ".join(str(v) for v in t.rmeta)
-            + " | "
-            + " ".join(str(v) for v in t.ops)
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _parse_ints(part: str, lineno: int) -> list[int]:
-    out = []
-    for tok in part.split():
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer token {tok!r}") from None
-    return out
+    nu, nr, no = dataset.num_user_meta, dataset.num_res_meta, dataset.num_ops
+    line = " | ".join(" ".join(["{}"] * k) for k in (2, nu, nr, no)).format
+    order = np.lexsort((dataset.ids[:, 1], dataset.ids[:, 0]))  # stable: by (uid, rid)
+    rows = np.hstack((dataset.ids, dataset.M, dataset.Y))[order].tolist()
+    return "\n".join([f"{_HEADER_PREFIX} {nu} {nr} {no}"] + [line(*r) for r in rows]) + "\n"
 
 
 def parse_dataset(text: str) -> Dataset:
     lines = text.splitlines()
-    header = None
-    header_line = 0
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            header = line.strip()
-            header_line = lineno
-            break
-    if header is None:
+    header_line = next((n for n, line in enumerate(lines, start=1) if line.strip()), 0)
+    if not header_line:
         raise FormatError("empty dataset file")
+    header = lines[header_line - 1].strip()
     parts = header.split()
     if parts[:2] != ["dlbac-ds", "v1"] or len(parts) != 5:
         raise FormatError(f"line {header_line}: bad header {header!r}")
     try:
-        num_user_meta, num_res_meta, num_ops = (int(p) for p in parts[2:])
+        counts = tuple(int(p) for p in parts[2:])
     except ValueError:
         raise FormatError(f"line {header_line}: non-integer header field") from None
+    if not all(0 <= c <= _MAX_COUNT for c in counts):
+        raise FormatError(f"line {header_line}: header counts must lie in [0, {_MAX_COUNT}]")
+    num_user_meta, num_res_meta, num_ops = counts
 
-    tuples = []
+    flat = array.array("q")  # every row back to back; int64, so it rejects larger values
     seen: set[tuple[int, int]] = set()
-    for lineno, line in enumerate(lines, start=1):
-        if lineno <= header_line or not line.strip():
+    for lineno, line in enumerate(lines[header_line:], start=header_line + 1):
+        if not line.strip():
             continue
-        sections = [s.strip() for s in line.split("|")]
+        sections = line.split("|")
         if len(sections) != 4:
             raise FormatError(f"line {lineno}: expected 4 '|'-separated sections")
-        ids = _parse_ints(sections[0], lineno)
-        umeta = _parse_ints(sections[1], lineno)
-        rmeta = _parse_ints(sections[2], lineno)
-        ops = _parse_ints(sections[3], lineno)
+        ids, umeta, rmeta, ops = map(str.split, sections)
+        tokens = ids + umeta + rmeta + ops
+        try:
+            values = list(map(int, tokens))
+        except ValueError:
+            for tok in tokens:  # the first one `int` rejects
+                try:
+                    int(tok)
+                except ValueError:
+                    raise FormatError(f"line {lineno}: non-integer token {tok!r}") from None
         if len(ids) != 2:
             raise FormatError(f"line {lineno}: expected '<uid> <rid>'")
         if len(umeta) != num_user_meta or len(rmeta) != num_res_meta or len(ops) != num_ops:
             raise FormatError(f"line {lineno}: dimension mismatch with header")
-        if any(o not in (0, 1) for o in ops):
+        if not {0, 1}.issuperset(values[len(values) - num_ops :]):
             raise FormatError(f"line {lineno}: operation bits must be 0 or 1")
-        key = (ids[0], ids[1])
+        try:
+            flat.fromlist(values)
+        except OverflowError:
+            raise FormatError(f"line {lineno}: value outside the int64 range") from None
+        key = (values[0], values[1])
         if key in seen:
             raise FormatError(f"line {lineno}: duplicate (uid, rid) pair {key}")
         seen.add(key)
-        tuples.append(
-            AuthorizationTuple(ids[0], ids[1], tuple(umeta), tuple(rmeta), tuple(ops))
-        )
-    return Dataset(num_user_meta, num_res_meta, num_ops, tuple(tuples))
+
+    rows = np.frombuffer(flat, dtype=np.int64).reshape(len(seen), 2 + sum(counts))
+    return Dataset._of(*counts, *np.split(rows, [2, 2 + num_user_meta + num_res_meta], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +475,12 @@ def project_visible(
         raise ConfigError("visible_user_meta exceeds dataset user metadata count")
     if visible_res_meta > dataset.num_res_meta:
         raise ConfigError("visible_res_meta exceeds dataset resource metadata count")
-    tuples = tuple(
-        replace(t, umeta=t.umeta[:visible_user_meta], rmeta=t.rmeta[:visible_res_meta])
-        for t in dataset.tuples
+    nu = dataset.num_user_meta
+    kept = np.r_[:visible_user_meta, nu : nu + visible_res_meta]
+    return Dataset._of(
+        visible_user_meta, visible_res_meta, dataset.num_ops,
+        dataset.ids, dataset.M[:, kept], dataset.Y,
     )
-    return Dataset(visible_user_meta, visible_res_meta, dataset.num_ops, tuples)
 
 
 def split_dataset(
@@ -483,19 +489,16 @@ def split_dataset(
     """Disjoint train/test partition; |test| = round(test_fraction * N)."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError("test_fraction must be strictly between 0 and 1")
-    n = len(dataset.tuples)
+    n = len(dataset)
     order = list(range(n))
     SplitMix64(seed).shuffle(order)
+    order = np.array(order, dtype=np.int64)
     n_test = int(test_fraction * n + 0.5)
-    test_idx = sorted(order[:n_test])
-    train_idx = sorted(order[n_test:])
-    mk = lambda idx: Dataset(
-        dataset.num_user_meta,
-        dataset.num_res_meta,
-        dataset.num_ops,
-        tuple(dataset.tuples[i] for i in idx),
+    mk = lambda idx: Dataset._of(
+        dataset.num_user_meta, dataset.num_res_meta, dataset.num_ops,
+        dataset.ids[idx], dataset.M[idx], dataset.Y[idx],
     )
-    return mk(train_idx), mk(test_idx)
+    return mk(np.sort(order[n_test:])), mk(np.sort(order[:n_test]))
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +527,14 @@ def _cell_int(row: dict, col: str, row_no: int) -> int:
         raise IngestError(f"row {row_no}: no cell in column {col!r}")
     raw = row[col].strip()
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise IngestError(
             f"row {row_no}: non-categorical cell {raw!r} in column {col!r}"
         ) from None
+    if not -(2**63) <= value < 2**63:
+        raise IngestError(f"row {row_no}: cell {raw!r} in column {col!r} outside the int64 range")
+    return value
 
 
 def _csv_rows(reader: csv.DictReader):
@@ -593,13 +599,10 @@ def ingest_csv(text: str, schema: CsvSchema) -> Dataset:
                 "with conflicting labels"
             )
 
-    umeta_of = {uid: umeta for umeta, uid in uid_of.items()}
-    return Dataset(
-        num_user_meta=len(schema.user_meta_cols),
-        num_res_meta=len(schema.res_meta_cols) if schema.res_meta_cols else 1,
-        num_ops=len(schema.label_cols),
-        tuples=tuple(
-            AuthorizationTuple(uid, rid, umeta_of[uid], rmeta_of[rid][0], labels)
-            for (uid, rid), (labels, _row) in sorted(records.items())
-        ),
+    umeta_of = list(uid_of)  # uids count up from 0 in first-row order
+    pairs = sorted(records)
+    return Dataset._of(
+        len(schema.user_meta_cols), len(schema.res_meta_cols) or 1, len(schema.label_cols), pairs,
+        [umeta_of[uid] + rmeta_of[rid][0] for uid, rid in pairs],
+        [records[pair][0] for pair in pairs],
     )

@@ -74,7 +74,7 @@ class Encoder:
 
 def build_encoder(train: Dataset, scheme: str = "onehot") -> Encoder:
     """Category maps from the training tuples only, columns in ascending value order."""
-    if len(train.tuples) == 0:
+    if len(train) == 0:
         raise ConfigError("cannot build an encoder from an empty dataset")
     M = train.meta_matrix()
     return Encoder(

@@ -111,21 +111,21 @@ class MetadataStore:
 
 def build_store(dataset: Dataset) -> MetadataStore:
     """Collect per-id metadata from a dataset; conflicting vectors are fatal."""
-    users: dict[int, tuple[int, ...]] = {}
-    resources: dict[int, tuple[int, ...]] = {}
-    for t in dataset.tuples:
-        for table, key, meta, kind in (
-            (users, t.uid, t.umeta, "user"),
-            (resources, t.rid, t.rmeta, "resource"),
-        ):
-            prev = table.get(key)
-            if prev is None:
-                table[key] = meta
-            elif prev != meta:
-                raise ConflictError(
-                    f"conflicting metadata for {kind} {key}: {prev} vs {meta}"
-                )
-    return MetadataStore(dataset.num_user_meta, dataset.num_res_meta, users, resources)
+    nu, tables, conflicts = dataset.num_user_meta, [], []
+    for kind, ids, meta in (
+        ("user", dataset.ids[:, 0], dataset.M[:, :nu]),
+        ("resource", dataset.ids[:, 1], dataset.M[:, nu:]),
+    ):
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        owner = first[inverse]  # the first tuple with each tuple's id
+        for i in np.flatnonzero((meta != meta[owner]).any(axis=1))[:1]:  # the earliest, if any
+            prev, now = tuple(meta[owner[i]].tolist()), tuple(meta[i].tolist())
+            conflicts.append((i, f"conflicting metadata for {kind} {ids[i]}: {prev} vs {now}"))
+        first.sort()  # ids in order of first appearance
+        tables.append(dict(zip(ids[first].tolist(), map(tuple, meta[first].tolist()))))
+    if conflicts:
+        raise ConflictError(min(conflicts, key=lambda c: c[0])[1])  # a tie names the user
+    return MetadataStore(nu, dataset.num_res_meta, *tables)
 
 
 def decide(

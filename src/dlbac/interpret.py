@@ -147,15 +147,15 @@ def global_explain(
         raise ConfigError(f"op index {op} out of range")
     if sample_n < 1:
         raise ConfigError("sample size must be >= 1")
-    pool = [t for t in dataset.tuples if t.ops[op] == decision_class]
+    pool = np.flatnonzero(dataset.Y[:, op] == decision_class)
     if len(pool) < sample_n:
         raise ConfigError(
             f"need {sample_n} tuples with label {decision_class} for op {op}, "
             f"only {len(pool)} available"
         )
-    rng = SplitMix64(seed)
-    picks = [pool[i] for i in rng.sample_indices(len(pool), sample_n)]
-    X = encode_positions(encoder, [_position_row(encoder, t) for t in picks])
+    encoder.check_layout(dataset.num_user_meta, dataset.num_res_meta)
+    picks = pool[SplitMix64(seed).sample_indices(len(pool), sample_n)]
+    X = encode_positions(encoder, dataset.M[picks])
     raw = integrated_gradients(net, X, np.zeros_like(X), op, steps)
     normalized = aggregate(raw, encoder)
     return Attribution(

@@ -302,7 +302,7 @@ def train(
     carve-out of the training tuples is the early-stopping monitor; the
     returned network holds the best-validation-epoch parameters.
     """
-    if len(train_set.tuples) == 0:
+    if len(train_set) == 0:
         raise ConfigError("empty training set")
     X = encode_dataset(encoder, train_set)
     Y = train_set.labels_matrix().astype(np.float64)

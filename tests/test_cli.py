@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +130,13 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith("error: row 3: field larger") and err.count("\n") == 1
 
+    def test_value_outside_int64_is_single_line_error(self, tmp_path, capsys):
+        text = "dept,level,RESOURCE,ACTION\n3,1,900,1\n99999999999999999999,1,901,0\n"
+        assert self.run(tmp_path, text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 3:") and err.count("\n") == 1
+        assert not (tmp_path / "out.txt").exists()
+
 
 class TestTrain:
     def test_artifacts_exist_and_load(self, workdir):
@@ -147,6 +155,18 @@ class TestTrain:
         printed = capsys.readouterr().out
         for name in ("model.txt", "encoder.txt", "train_report.csv"):
             assert name in printed
+
+    @pytest.mark.parametrize(
+        "text",
+        ["dlbac-ds v1 2 1 1\n0 0 | 1 99999999999999999999 | 2 | 1\n", "dlbac-ds v1 -3 1 1\n"],
+    )
+    def test_out_of_range_dataset_is_single_line_error(self, tmp_path, capsys, text):
+        data = tmp_path / "data.txt"
+        data.write_text(text)
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "m"), "--epochs", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("weights", ["1", "1,2,3", "1,x", "1,nan", "0,1"])
     def test_malformed_weights_is_single_line_error(self, workdir, tmp_path, capsys, weights):
@@ -422,3 +442,47 @@ def test_damaged_synth_config_loads_or_raises_dlbac_error(cfg_path, cut, at, cha
     except d.DlbacError:
         return
     assert isinstance(config, d.SynthConfig)
+
+
+def test_pipeline_never_reads_the_tuple_view(tmp_path, monkeypatch):
+    """Every stage runs on the columns; `Dataset.tuples` is only for callers."""
+
+    def refuse(self):
+        raise AssertionError("Dataset.tuples was read")
+
+    monkeypatch.setattr(d.Dataset, "tuples", property(refuse))
+    full = d.synthesize(d.SynthConfig(
+        num_users=120, num_resources=120, num_user_meta=4, num_res_meta=4, num_rules=3,
+        num_ops=2, value_set_sizes=(6,) * 8, visible_user_meta=4, visible_res_meta=4,
+        neg_ratio=1.0, seed=12,
+    ))[0]
+    parsed = d.parse_dataset(d.serialize_dataset(full))
+    assert parsed == full
+    train, test = (d.project_visible(x, 4, 3) for x in d.split_dataset(parsed, 0.25, 3))
+    enc = d.build_encoder(train)
+    net = d.init_network(d.NetworkConfig(enc.width, train.num_ops, (16,), init_seed=1))
+    net, _ = d.train(net, train, enc, d.TrainConfig(epochs=1))
+    d.evaluate(net, enc, test)
+    store = d.build_store(test)
+    uid, rid = (int(v) for v in test.ids[0])
+    d.decide(net, enc, store, uid, rid, 0)
+    d.global_explain(net, enc, test, 0, 1, 5, 0, 4)
+
+    # flip-study through the CLI, with the most granted pair as the donor and
+    # the median probability as the threshold, so both sides are non-empty
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    (model_dir / "model.txt").write_text(d.save_model(net))
+    (model_dir / "encoder.txt").write_text(d.save_encoder(enc))
+    data = tmp_path / "data.txt"
+    data.write_text(d.serialize_dataset(test))
+    probs = d.forward(net, d.encode_dataset(enc, test))[:, 0]
+    donor = test.ids[int(probs.argmax())]
+    rc = main(["flip-study", "--model", str(model_dir), "--data", str(data), "--op", "0",
+               "--donor-uid", str(donor[0]), "--donor-rid", str(donor[1]), "--samples", "5",
+               "--steps", "4", "--threshold", str(float(np.median(probs))),
+               "--out", str(tmp_path / "curve.csv")])
+    assert rc == 0
+
+    tree = d.distill(net, enc, train, 0, 4, 2)
+    d.fidelity(tree, net, enc, test, 0)

@@ -117,6 +117,24 @@ class TestGenerateEntities:
         assert [r.id for r in resources] == list(range(cfg.num_resources))
 
 
+def evaluate_rule(rule: d.Rule, user: d.Entity, resource: d.Entity) -> set[int]:
+    """Operations the rule grants to (user, resource); empty if unsatisfied.
+
+    The pairwise oracle for `generate_tuples`: one pair at a time, over full
+    metadata, hidden positions included.
+    """
+    for index, values in rule.uae:
+        if user.meta[index] not in values:
+            return set()
+    for index, values in rule.rae:
+        if resource.meta[index] not in values:
+            return set()
+    for cu, cr in rule.constraints:
+        if user.meta[cu] != resource.meta[cr]:
+            return set()
+    return set(rule.ops)
+
+
 class TestEvaluateRule:
     # index 0 plays "title"/"type", index 1 plays "department"
     rule = d.Rule(
@@ -129,25 +147,25 @@ class TestEvaluateRule:
     def test_satisfying_pair_gets_the_rule_ops(self):
         student = d.Entity(0, (2, 7, 0, 0, 0, 0, 0, 0))
         document = d.Entity(0, (5, 7, 0, 0, 0, 0, 0, 0))
-        assert d.evaluate_rule(self.rule, student, document) == {0}
+        assert evaluate_rule(self.rule, student, document) == {0}
 
     def test_failed_uae_condition_denies(self):
         user = d.Entity(0, (3, 7, 0, 0, 0, 0, 0, 0))
         document = d.Entity(0, (5, 7, 0, 0, 0, 0, 0, 0))
-        assert d.evaluate_rule(self.rule, user, document) == set()
+        assert evaluate_rule(self.rule, user, document) == set()
 
     def test_unequal_constraint_denies(self):
         student = d.Entity(0, (2, 7, 0, 0, 0, 0, 0, 0))
         document = d.Entity(0, (5, 6, 0, 0, 0, 0, 0, 0))
-        assert d.evaluate_rule(self.rule, student, document) == set()
+        assert evaluate_rule(self.rule, student, document) == set()
 
     def test_hidden_metadata_participate(self):
         rule = d.Rule(uae=((7, (1,)),), rae=((0, (0,)),), ops=frozenset({1}))
         user_match = d.Entity(0, (0,) * 7 + (1,))
         user_miss = d.Entity(1, (0,) * 8)
         res = d.Entity(0, (0,) * 8)
-        assert d.evaluate_rule(rule, user_match, res) == {1}
-        assert d.evaluate_rule(rule, user_miss, res) == set()
+        assert evaluate_rule(rule, user_match, res) == {1}
+        assert evaluate_rule(rule, user_miss, res) == set()
 
 
 class TestGenerateTuples:
@@ -159,7 +177,7 @@ class TestGenerateTuples:
         for t in dset.tuples:
             granted = set()
             for rule in rules:
-                granted |= d.evaluate_rule(rule, user_by_id[t.uid], res_by_id[t.rid])
+                granted |= evaluate_rule(rule, user_by_id[t.uid], res_by_id[t.rid])
             expected = tuple(1 if op in granted else 0 for op in range(cfg.num_ops))
             assert t.ops == expected
 
@@ -250,7 +268,7 @@ def _oracle_grants(rules, users, resources):
     grants = {}
     for u in users:
         for r in resources:
-            ops = set().union(*(d.evaluate_rule(rule, u, r) for rule in rules))
+            ops = set().union(*(evaluate_rule(rule, u, r) for rule in rules))
             if ops:
                 grants[u.id, r.id] = ops
     return grants
@@ -371,6 +389,105 @@ def test_parse_serialize_round_trip(dset):
     assert d.parse_dataset(d.serialize_dataset(dset)) == dset
 
 
+class TestInt64Range:
+    BASE = "dlbac-ds v1 1 1 1\n0 0 | 1 | 2 | 0\n"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "5 6 | 99999999999999999999 | 2 | 1",  # user metadata
+            "5 6 | 1 | -9223372036854775809 | 1",  # resource metadata
+            "9223372036854775808 6 | 1 | 2 | 1",  # uid
+            "5 -9223372036854775809 | 1 | 2 | 1",  # rid
+            "5 6 | 1 | 2 | 99999999999999999999",  # operation bit
+        ],
+    )
+    def test_value_outside_int64_reports_line(self, line):
+        with pytest.raises(FormatError, match="line 3"):
+            d.parse_dataset(self.BASE + line + "\n")
+
+    def test_int64_bounds_load_and_round_trip(self):
+        lo, hi = -(2**63), 2**63 - 1
+        text = f"dlbac-ds v1 1 1 1\n{lo} {hi} | {hi} | {lo} | 1\n"
+        dset = d.parse_dataset(text)
+        assert dset.tuples[0] == d.AuthorizationTuple(lo, hi, (hi,), (lo,), (1,))
+        assert d.serialize_dataset(dset) == text
+
+    @pytest.mark.parametrize("header", ["-3 1 1", "1 -1 1", "1 1 -2", "1 1 99999999999"])
+    def test_header_count_out_of_range_reports_header_line(self, header):
+        with pytest.raises(FormatError, match="line 2: header counts"):
+            d.parse_dataset(f"\ndlbac-ds v1 {header}\n")
+
+    def test_constructor_rejects_negative_counts(self):
+        with pytest.raises(FormatError, match=r"counts \(1, -1, 1\)"):
+            d.Dataset(1, -1, 1, ())
+
+
+class TestColumns:
+    def test_columns_are_read_only_int64(self):
+        dset, *_ = d.synthesize(small_config())
+        assert dset.meta_matrix() is dset.M and dset.labels_matrix() is dset.Y
+        for a in (dset.ids, dset.M, dset.Y):
+            assert a.dtype == np.int64 and a.flags.c_contiguous and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dset.meta_matrix()[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            dset.labels_matrix()[0, 0] = 1
+
+    def test_view_is_built_once(self):
+        dset, *_ = d.synthesize(small_config())
+        assert dset.tuples is dset.tuples
+
+    def test_inconsistent_tuple_rejected(self):
+        t = d.AuthorizationTuple(4, 5, (1, 2), (3,), (1,))
+        with pytest.raises(FormatError, match=r"tuple \(4, 5\) is inconsistent"):
+            d.Dataset(1, 1, 1, (t,))
+
+
+def _assert_view_round_trips(x):
+    assert d.Dataset(x.num_user_meta, x.num_res_meta, x.num_ops, x.tuples) == x
+    for t in x.tuples:
+        assert all(type(f) is tuple for f in (t.umeta, t.rmeta, t.ops))
+        assert all(type(v) is int for v in (t.uid, t.rid, *t.umeta, *t.rmeta, *t.ops))
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    fraction=st.floats(0.05, 0.95),
+    visible=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    csv_rows=st.dictionaries(
+        st.tuples(INT64, st.integers(0, 3), st.integers(-5, 5)), st.tuples(st.integers(0, 1)),
+        max_size=12,
+    ),
+    rtypes=st.lists(INT64, min_size=11, max_size=11),  # resource metadata of rids -5..5
+)
+def test_every_producer_round_trips_through_the_view(seed, fraction, visible, csv_rows, rtypes):
+    cfg = small_config(
+        num_users=12, num_resources=10, num_user_meta=3, num_res_meta=3, num_rules=2,
+        value_set_sizes=(6,) * 6, visible_user_meta=3, visible_res_meta=3, seed=seed,
+    )
+    try:
+        synthesized = d.synthesize(cfg)[0]
+    except d.SynthesisError:
+        return
+    parsed = d.parse_dataset(d.serialize_dataset(synthesized))
+    train, test = d.split_dataset(parsed, fraction, seed)
+    projected = d.project_visible(parsed, *visible)
+    text = "dept,level,rid,rtype,read\n" + "".join(
+        f"{dept},{level},{rid},{rtypes[rid + 5]},{read}\n"
+        for (dept, level, rid), (read,) in csv_rows.items()
+    )
+    schema = d.CsvSchema(("dept", "level"), "rid", ("read",), res_meta_cols=("rtype",))
+    ingested = d.ingest_csv(text, schema)
+    assert len(ingested) == len(csv_rows)
+    for x in (synthesized, parsed, train, test, projected, ingested):
+        _assert_view_round_trips(x)
+
+
 class TestProjectVisible:
     def make_13_13(self):
         cfg = small_config(
@@ -485,6 +602,25 @@ class TestIngestCsv:
     def test_agreeing_duplicate_collapses(self):
         text = CSV_TEXT + "3,1,900,1\n"
         assert len(d.ingest_csv(text, self.schema).tuples) == 3
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "99999999999999999999,1,900,1",  # user metadata
+            "3,-9223372036854775809,900,1",  # user metadata, below
+            "3,1,9223372036854775808,1",  # resource id
+            "3,1,900,99999999999999999999",  # label
+        ],
+    )
+    def test_cell_outside_int64_reports_row(self, row):
+        with pytest.raises(IngestError, match="row 5"):
+            d.ingest_csv(CSV_TEXT + row + "\n", self.schema)
+
+    def test_resource_metadata_outside_int64_reports_row(self):
+        schema = d.CsvSchema(("dept",), "rid", ("read",), res_meta_cols=("rtype",))
+        text = "dept,rid,rtype,read\n1,900,3,1\n2,901,-99999999999999999999,0\n"
+        with pytest.raises(IngestError, match="row 3: cell '-99999999999999999999'"):
+            d.ingest_csv(text, schema)
 
     def test_missing_column(self):
         with pytest.raises(IngestError, match="missing column"):

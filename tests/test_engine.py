@@ -1,9 +1,12 @@
+import re
 import socket
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dlbac as d
 from dlbac import engine
@@ -52,6 +55,69 @@ class TestStore:
         _, _, store, _ = setup
         assert store.user_ids == sorted(store.user_ids)
         assert store.resource_ids == sorted(store.resource_ids)
+
+
+def _store_oracle(dataset):
+    """`build_store` as a per-tuple loop: each id's first metadata, or the first conflict."""
+    users: dict[int, tuple[int, ...]] = {}
+    resources: dict[int, tuple[int, ...]] = {}
+    for t in dataset.tuples:
+        for table, key, meta, kind in (
+            (users, t.uid, t.umeta, "user"),
+            (resources, t.rid, t.rmeta, "resource"),
+        ):
+            prev = table.get(key)
+            if prev is None:
+                table[key] = meta
+            elif prev != meta:
+                raise ConflictError(f"conflicting metadata for {kind} {key}: {prev} vs {meta}")
+    return users, resources
+
+
+@st.composite
+def store_datasets(draw):
+    """Few ids and values, so repeated ids and conflicts are common."""
+    nu, nr = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    value = st.integers(-2, 2)
+    rows = draw(st.lists(st.tuples(
+        st.integers(-3, 3), st.integers(-3, 3),
+        st.lists(value, min_size=nu, max_size=nu), st.lists(value, min_size=nr, max_size=nr),
+    ), max_size=12))
+    tuples = [d.AuthorizationTuple(u, r, tuple(um), tuple(rm), (1,)) for u, r, um, rm in rows]
+    return d.Dataset(nu, nr, 1, tuples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(store_datasets())
+def test_store_matches_the_per_tuple_oracle(dset):
+    try:
+        users, resources = _store_oracle(dset)
+    except ConflictError as expected:
+        with pytest.raises(ConflictError) as got:
+            d.build_store(dset)
+        assert str(got.value) == str(expected)
+        return
+    store = d.build_store(dset)
+    assert list(store._users.items()) == list(users.items())
+    assert list(store._resources.items()) == list(resources.items())
+    assert all(type(v) is int for m in (store._users, store._resources)
+               for k, meta in m.items() for v in (k, *meta))
+
+
+@pytest.mark.parametrize(
+    "tuples, message",
+    [
+        # the second tuple conflicts on both sides: the user is named
+        (((1, 2, 5, 6), (1, 2, 7, 8)), "user 1: (5,) vs (7,)"),
+        # the resource conflict comes a tuple before the user's
+        (((1, 2, 5, 6), (3, 2, 0, 9), (1, 4, 7, 0)), "resource 2: (6,) vs (9,)"),
+    ],
+)
+def test_earliest_conflict_is_named(tuples, message):
+    dset = d.Dataset(1, 1, 1, [d.AuthorizationTuple(u, r, (um,), (rm,), (0,))
+                               for u, r, um, rm in tuples])
+    with pytest.raises(ConflictError, match=re.escape(message)):
+        d.build_store(dset)
 
 
 class TestDecide:
