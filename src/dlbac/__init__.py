@@ -10,7 +10,6 @@ from .dataset import (
     AuthorizationTuple,
     CsvSchema,
     Dataset,
-    Entity,
     Rule,
     SynthConfig,
     generate_entities,
@@ -40,7 +39,6 @@ from .encoding import (
     Encoder,
     build_encoder,
     encode_dataset,
-    encode_matrix,
     encode_pair,
     encode_positions,
     load_encoder,
@@ -51,7 +49,6 @@ from .engine import (
     MetadataStore,
     build_store,
     decide,
-    decide_all,
     format_decision,
     serve,
 )

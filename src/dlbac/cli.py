@@ -8,6 +8,7 @@ and exits nonzero with a one-line diagnostic on error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -64,7 +65,16 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(t for t in text.replace(",", " ").split())
 
 
+def _check_keys(cfg: dict[str, str], target) -> None:
+    """Reject a key that names no field of the dataclass the config fills."""
+    names = {f.name for f in dataclasses.fields(target)}
+    unknown = [key for key in cfg if key not in names]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+
+
 def _synth_config(cfg: dict[str, str], seed_override: int | None) -> ds.SynthConfig:
+    _check_keys(cfg, ds.SynthConfig)
     sizes = None
     if "value_set_sizes" in cfg:
         sizes = _int_list(cfg["value_set_sizes"], "config key 'value_set_sizes'")
@@ -89,18 +99,19 @@ def _load_dataset(path: str) -> ds.Dataset:
     return ds.parse_dataset(Path(path).read_text())
 
 
-def _load_model(path: str) -> nn.Network:
-    p = Path(path)
-    if p.is_dir():
-        p = p / "model.txt"
-    return nn.load_model(p.read_text())
+def _load_model(args) -> tuple[nn.Network, enc.Encoder]:
+    """The network and encoder named by --model and --encoder.
 
+    A directory stands for the `model.txt` or `encoder.txt` inside it, and
+    without --encoder the encoder is read from beside the model.
+    """
 
-def _load_encoder(path: str) -> enc.Encoder:
-    p = Path(path)
-    if p.is_dir():
-        p = p / "encoder.txt"
-    return enc.load_encoder(p.read_text())
+    def text(path: str, name: str) -> str:
+        p = Path(path)
+        return (p / name if p.is_dir() else p).read_text()
+
+    net = nn.load_model(text(args.model, "model.txt"))
+    return net, enc.load_encoder(text(args.encoder or args.model, "encoder.txt"))
 
 
 def _write(path: str | Path, text: str) -> None:
@@ -123,6 +134,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_ingest(args) -> int:
     cfg = read_config(args.config)
+    _check_keys(cfg, ds.CsvSchema)
     for key in ("user_meta_cols", "resource_id_col", "label_cols"):
         if key not in cfg:
             raise ConfigError(f"missing config key {key!r}")
@@ -188,16 +200,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     data = _load_dataset(args.data)
-    net = _load_model(args.model)
-    encoder = _load_encoder(args.encoder or args.model)
+    net, encoder = _load_model(args)
     report = mt.evaluate(net, encoder, data, args.threshold)
     _write(args.out, mt.report_to_csv(report))
     return 0
 
 
 def _cmd_decide(args) -> int:
-    net = _load_model(args.model)
-    encoder = _load_encoder(args.encoder or args.model)
+    net, encoder = _load_model(args)
     store = eng.build_store(_load_dataset(args.store))
     decision = eng.decide(net, encoder, store, args.uid, args.rid, args.op, args.threshold)
     print(eng.format_decision(decision))
@@ -205,8 +215,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    net = _load_model(args.model)
-    encoder = _load_encoder(args.encoder or args.model)
+    net, encoder = _load_model(args)
     store = eng.build_store(_load_dataset(args.store))
     host, _, port = args.listen.rpartition(":")
     if not host or not port.isdigit() or int(port) > 65535:
@@ -219,8 +228,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    net = _load_model(args.model)
-    encoder = _load_encoder(args.encoder or args.model)
+    net, encoder = _load_model(args)
     if args.mode == "local":
         if args.uid is None or args.rid is None or args.store is None:
             raise ConfigError("--local needs --store, --uid, and --rid")
@@ -239,8 +247,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_flip_study(args) -> int:
-    net = _load_model(args.model)
-    encoder = _load_encoder(args.encoder or args.model)
+    net, encoder = _load_model(args)
     data = _load_dataset(args.data)
     try:
         i = data.ids.tolist().index([args.donor_uid, args.donor_rid])
@@ -260,8 +267,7 @@ def _cmd_flip_study(args) -> int:
 
 
 def _cmd_distill(args) -> int:
-    net = _load_model(args.model)
-    encoder = _load_encoder(args.encoder or args.model)
+    net, encoder = _load_model(args)
     data = _load_dataset(args.data)
     max_depth = None if args.max_depth == 0 else args.max_depth
     tree = distill(net, encoder, data, args.op, max_depth, args.min_samples_leaf)

@@ -120,12 +120,6 @@ class Rule:
 
 
 @dataclass(frozen=True)
-class Entity:
-    id: int
-    meta: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class AuthorizationTuple:
     uid: int
     rid: int
@@ -140,16 +134,22 @@ class Dataset:
     _FIELDS = ("num_user_meta", "num_res_meta", "num_ops", "ids", "M", "Y")
 
     def __init__(self, num_user_meta: int, num_res_meta: int, num_ops: int, tuples):
+        ids, meta, ops = (array.array("q") for _ in range(3))  # int64: a float or larger int raises
         for t in tuples:
             if (len(t.umeta), len(t.rmeta), len(t.ops)) != (num_user_meta, num_res_meta, num_ops):
                 raise FormatError(f"tuple ({t.uid}, {t.rid}) is inconsistent with the header")
-        try:
-            columns = Dataset._of(
-                num_user_meta, num_res_meta, num_ops, [(t.uid, t.rid) for t in tuples],
-                [(*t.umeta, *t.rmeta) for t in tuples], [t.ops for t in tuples],
-            )
-        except OverflowError:
-            raise FormatError("a tuple holds a value outside the int64 range") from None
+            if not {0, 1}.issuperset(t.ops):
+                raise FormatError(f"tuple ({t.uid}, {t.rid}): operation bits must be 0 or 1")
+            try:
+                ids.fromlist([t.uid, t.rid])
+                meta.fromlist([*t.umeta, *t.rmeta])
+                ops.fromlist(list(t.ops))
+            except TypeError:
+                raise FormatError(f"tuple ({t.uid}, {t.rid}) holds a non-integer value") from None
+            except OverflowError:
+                raise FormatError(f"tuple ({t.uid}, {t.rid}) holds a value outside int64") from None
+        ids = np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
+        columns = Dataset._of(num_user_meta, num_res_meta, num_ops, ids, meta, ops)
         self.__dict__.update(vars(columns))
 
     @classmethod
@@ -271,10 +271,14 @@ def _force_condition(
     meta[index] = rng.choice(feasible)
 
 
-def generate_entities(
-    rules: list[Rule], config: SynthConfig
-) -> tuple[list[Entity], list[Entity]]:
-    """Create users and resources with per-position restricted values.
+def _frozen(rows: list[list[int]], width: int) -> np.ndarray:
+    M = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    M.flags.writeable = False
+    return M
+
+
+def generate_entities(rules: list[Rule], config: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Users and resources as read-only int64 matrices; row k is entity k.
 
     Entity k (k < num_rules) is forced to satisfy rule k, so every rule has
     at least one satisfying user and, for each resource created for a rule,
@@ -284,7 +288,7 @@ def generate_entities(
     if not rules:
         raise SynthesisError("no rules to generate entities from")
     rng = SplitMix64(derive_seed(config.seed, _ENTITIES_TAG))
-    users: list[Entity] = []
+    users: list[list[int]] = []
     for uid in range(config.num_users):
         meta = [
             _sample_value(rng, config.user_sizes[i], config.value_distribution)
@@ -300,9 +304,9 @@ def generate_entities(
                 meta[cu] = rng.randint(
                     min(config.user_sizes[cu], config.res_sizes[cr])
                 )
-        users.append(Entity(uid, tuple(meta)))
+        users.append(meta)
 
-    resources: list[Entity] = []
+    resources: list[list[int]] = []
     for rid in range(config.num_resources):
         meta = [
             _sample_value(rng, config.res_sizes[j], config.value_distribution)
@@ -313,9 +317,9 @@ def generate_entities(
             for cond in rule.rae:
                 _force_condition(rng, meta, cond, config.res_sizes[cond[0]], rid)
             for cu, cr in rule.constraints:
-                meta[cr] = users[rid].meta[cu]
-        resources.append(Entity(rid, tuple(meta)))
-    return users, resources
+                meta[cr] = users[rid][cu]
+        resources.append(meta)
+    return _frozen(users, config.num_user_meta), _frozen(resources, config.num_res_meta)
 
 
 def _matching(M: np.ndarray, conditions) -> np.ndarray:
@@ -327,22 +331,22 @@ def _matching(M: np.ndarray, conditions) -> np.ndarray:
 
 
 def generate_tuples(
-    rules: list[Rule],
-    users: list[Entity],
-    resources: list[Entity],
-    config: SynthConfig,
+    rules: list[Rule], U: np.ndarray, R: np.ndarray, config: SynthConfig
 ) -> Dataset:
     """Materialize the authorization tuples implied by the rules.
 
+    Row k of the user matrix U is user k, and row k of R is resource k.
     One tuple per pair granted at least one operation (ops = union over all
     satisfied rules) plus round(neg_ratio * positives) all-deny pairs sampled
     uniformly from the remaining pairs, or every remaining pair when there
     are fewer.  A rule's grants are the true cells of one boolean matrix over
     the users x resources its conditions match, one AND per constraint.
     """
-    U = np.array([u.meta for u in users], dtype=np.int64)
-    R = np.array([r.meta for r in resources], dtype=np.int64)
-    n_res = len(resources)
+    U, R = np.asarray(U), np.asarray(R)
+    for side, M, width in (("user", U, config.num_user_meta), ("resource", R, config.num_res_meta)):
+        if M.ndim != 2 or M.shape[1] != width or M.dtype.kind != "i":
+            raise ConfigError(f"{side} matrix must be signed integers in {width} columns")
+    n_res = len(R)
 
     labels: dict[int, int] = {}  # user_idx * n_res + res_idx -> op bitmask, 0 if negative
     for rule in rules:
@@ -358,7 +362,7 @@ def generate_tuples(
     rng = SplitMix64(derive_seed(config.seed, _TUPLES_TAG))
     n_pos = len(labels)
     n_neg = int(round(config.neg_ratio * n_pos))
-    total_pairs = len(users) * n_res
+    total_pairs = len(U) * n_res
     wanted = n_pos + min(n_neg, total_pairs - n_pos)
     for _ in range(100 * max(n_neg, 1)):
         if len(labels) >= wanted:
@@ -368,26 +372,24 @@ def generate_tuples(
     keys = np.fromiter(labels, dtype=np.int64, count=len(labels))
     # op bitmasks past bit 62 stay Python ints
     masks = np.array(list(labels.values()), dtype=np.int64 if config.num_ops < 63 else object)
-    user_idx, res_idx = np.divmod(keys, n_res)
-    uids = np.array([u.id for u in users], dtype=np.int64)[user_idx]
-    rids = np.array([r.id for r in resources], dtype=np.int64)[res_idx]
+    uids, rids = np.divmod(keys, n_res)  # an entity's id is its row
     order = np.lexsort((rids, uids))  # stable: by (uid, rid)
     bits = (masks[order, None] >> np.arange(config.num_ops)) & 1
     return Dataset._of(
         config.num_user_meta, config.num_res_meta, config.num_ops,
-        np.column_stack((uids, rids))[order], np.hstack((U[user_idx], R[res_idx]))[order], bits,
+        np.column_stack((uids, rids))[order], np.hstack((U[uids], R[rids]))[order], bits,
     )
 
 
 def synthesize(config: SynthConfig):
     """Full pipeline: rules -> entities -> dataset.
 
-    Returns (dataset, rules, users, resources).
+    Returns (dataset, rules, U, R), where row k of U is user k and row k of
+    R is resource k.
     """
     rules = generate_rules(config)
-    users, resources = generate_entities(rules, config)
-    dataset = generate_tuples(rules, users, resources, config)
-    return dataset, rules, users, resources
+    U, R = generate_entities(rules, config)
+    return generate_tuples(rules, U, R, config), rules, U, R
 
 
 # ---------------------------------------------------------------------------

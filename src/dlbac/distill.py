@@ -51,8 +51,7 @@ def _node_arrays(nodes: list[list]) -> tuple[np.ndarray, ...]:
 
 def soft_labels(net: Network, encoder: Encoder, dataset: Dataset, op: int) -> np.ndarray:
     """The network's grant probability for op, one entry per tuple."""
-    if not 0 <= op < net.config.num_ops:
-        raise ConfigError(f"operation index {op} out of range")
+    net.config.check_op(op)
     return forward(net, encode_dataset(encoder, dataset))[:, op]
 
 

@@ -143,16 +143,6 @@ def encode_positions(encoder: Encoder, M, first: int = 0) -> np.ndarray:
     return X
 
 
-def encode_matrix(encoder: Encoder, U: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Vectorized encoding of row-aligned user/resource metadata matrices."""
-    U, R = np.asarray(U), np.asarray(R)
-    if U.shape[1:] != (encoder.num_user_meta,) or R.shape[1:] != (encoder.num_res_meta,):
-        raise ConfigError("metadata matrix width does not match encoder positions")
-    if U.shape[0] != R.shape[0]:
-        raise ConfigError("user and resource matrices must have equal row counts")
-    return encode_positions(encoder, np.hstack((U, R)))
-
-
 def encode_pair(encoder: Encoder, umeta, rmeta) -> np.ndarray:
     """Feature vector for one (user metadata, resource metadata) pair."""
     umeta, rmeta = np.asarray(umeta), np.asarray(rmeta)

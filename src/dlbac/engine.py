@@ -48,48 +48,38 @@ def _find(table: dict, key: int, kind: str):
         raise NotFoundError(f"unknown {kind} {key}") from None
 
 
-def _encode_rows(encoder: Encoder, table: dict[int, tuple[int, ...]], first: int, count: int):
-    M = np.array(list(table.values()), dtype=np.int64).reshape(len(table), count)
-    return dict(zip(table, encode_positions(encoder, M, first)))
-
-
 class MetadataStore:
-    """Immutable id -> metadata-vector maps for users and resources."""
+    """Each side's ids, in order of first appearance, and their metadata rows.
 
-    def __init__(
-        self,
-        num_user_meta: int,
-        num_res_meta: int,
-        users: dict[int, tuple[int, ...]],
-        resources: dict[int, tuple[int, ...]],
-    ):
-        self.num_user_meta = num_user_meta
-        self.num_res_meta = num_res_meta
-        self._users = dict(users)
-        self._resources = dict(resources)
+    `uids[k]` owns row k of `U` and `rids[k]` row k of `R`; the store holds
+    all four as read-only int64 arrays.
+    """
+
+    def __init__(self, uids, U, rids, R):
+        self.uids, self.U, self.rids, self.R = (
+            np.ascontiguousarray(a, dtype=np.int64) for a in (uids, U, rids, R)
+        )
+        for a in (self.uids, self.U, self.rids, self.R):
+            a.flags.writeable = False
+        self.num_user_meta, self.num_res_meta = self.U.shape[1], self.R.shape[1]
         # (encoder, uid -> user block, rid -> resource block), replaced whole
         self._rows = None
-
-    def lookup_user(self, uid: int) -> tuple[int, ...]:
-        return _find(self._users, uid, "user")
-
-    def lookup_resource(self, rid: int) -> tuple[int, ...]:
-        return _find(self._resources, rid, "resource")
 
     def rows(self, encoder: Encoder) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
         """uid -> encoded user block and rid -> encoded resource block.
 
         Built on the first call with an encoder and kept until a call with a
-        different encoder object; the rows are `encode_matrix`'s own columns.
+        different encoder object; each side is one `encode_positions` call,
+        users from position 0 and resources from position num_user_meta.
         """
         rows = self._rows
         if rows is None or rows[0] is not encoder:
-            nu, nr = self.num_user_meta, self.num_res_meta
-            encoder.check_layout(nu, nr)
+            nu = self.num_user_meta
+            encoder.check_layout(nu, self.num_res_meta)
             rows = (
                 encoder,
-                _encode_rows(encoder, self._users, 0, nu),
-                _encode_rows(encoder, self._resources, nu, nr),
+                dict(zip(self.uids.tolist(), encode_positions(encoder, self.U, 0))),
+                dict(zip(self.rids.tolist(), encode_positions(encoder, self.R, nu))),
             )
             self._rows = rows
         return rows[1], rows[2]
@@ -102,16 +92,16 @@ class MetadataStore:
 
     @property
     def user_ids(self) -> list[int]:
-        return sorted(self._users)
+        return sorted(self.uids.tolist())
 
     @property
     def resource_ids(self) -> list[int]:
-        return sorted(self._resources)
+        return sorted(self.rids.tolist())
 
 
 def build_store(dataset: Dataset) -> MetadataStore:
     """Collect per-id metadata from a dataset; conflicting vectors are fatal."""
-    nu, tables, conflicts = dataset.num_user_meta, [], []
+    nu, sides, conflicts = dataset.num_user_meta, [], []
     for kind, ids, meta in (
         ("user", dataset.ids[:, 0], dataset.M[:, :nu]),
         ("resource", dataset.ids[:, 1], dataset.M[:, nu:]),
@@ -122,10 +112,10 @@ def build_store(dataset: Dataset) -> MetadataStore:
             prev, now = tuple(meta[owner[i]].tolist()), tuple(meta[i].tolist())
             conflicts.append((i, f"conflicting metadata for {kind} {ids[i]}: {prev} vs {now}"))
         first.sort()  # ids in order of first appearance
-        tables.append(dict(zip(ids[first].tolist(), map(tuple, meta[first].tolist()))))
+        sides += [ids[first], meta[first]]
     if conflicts:
         raise ConflictError(min(conflicts, key=lambda c: c[0])[1])  # a tie names the user
-    return MetadataStore(nu, dataset.num_res_meta, *tables)
+    return MetadataStore(*sides)
 
 
 def decide(
@@ -138,25 +128,9 @@ def decide(
     threshold: float = 0.5,
 ) -> Decision:
     """Grant iff the network's probability for op strictly exceeds the threshold."""
-    if not 0 <= op < net.config.num_ops:
-        raise ConfigError(f"operation index {op} out of range")
+    net.config.check_op(op)
     prob = float(forward(net, store.features(encoder, uid, rid))[op])
     return Decision(op, prob, prob > threshold, threshold)
-
-
-def decide_all(
-    net: Network,
-    encoder: Encoder,
-    store: MetadataStore,
-    uid: int,
-    rid: int,
-    threshold: float = 0.5,
-) -> list[Decision]:
-    probs = forward(net, store.features(encoder, uid, rid))
-    return [
-        Decision(op, float(p), float(p) > threshold, threshold)
-        for op, p in enumerate(probs)
-    ]
 
 
 def format_decision(d: Decision) -> str:

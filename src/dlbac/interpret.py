@@ -64,8 +64,7 @@ def integrated_gradients(
         raise ConfigError("input and baseline widths differ")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    if not 0 <= op < net.config.num_ops:
-        raise ConfigError(f"op index {op} out of range")
+    net.config.check_op(op)
     W0 = net.weights[0]
     D = X - B
     base = B @ W0 + net.biases[0]
@@ -143,8 +142,12 @@ def global_explain(
     steps: int = 128,
 ) -> Attribution:
     """Mean per-tuple normalized attribution over a sample of one label class."""
-    if not 0 <= op < dataset.num_ops:
-        raise ConfigError(f"op index {op} out of range")
+    net.config.check_op(op)
+    if dataset.num_ops != net.config.num_ops:
+        raise ConfigError(
+            f"dataset operation count {dataset.num_ops} "
+            f"differs from the model's {net.config.num_ops}"
+        )
     if sample_n < 1:
         raise ConfigError("sample size must be >= 1")
     pool = np.flatnonzero(dataset.Y[:, op] == decision_class)
@@ -198,6 +201,7 @@ def flip_study(
     is recorded; entry 0 is the unmodified fraction, which is 0 because the
     deny set is defined by the network's own decisions.
     """
+    net.config.check_op(op)
     donor_row = np.array([_position_row(encoder, donor)], dtype=np.int64)
     if not float(forward(net, encode_positions(encoder, donor_row)[0])[op]) > threshold:
         raise ConfigError("donor tuple is denied for the requested operation")

@@ -35,6 +35,10 @@ class NetworkConfig:
         if any(w < 1 for w in self.hidden_layers):
             raise ConfigError("hidden layer widths must be >= 1")
 
+    def check_op(self, op: int) -> None:
+        if not 0 <= op < self.num_ops:
+            raise ConfigError(f"operation index {op} out of range")
+
     @property
     def widths(self) -> tuple[int, ...]:
         return (self.input_width, *self.hidden_layers, self.num_ops)
@@ -243,8 +247,7 @@ def _dprob_dz0(net: Network, z0: np.ndarray, op_index: int) -> np.ndarray:
 def input_gradient(net: Network, x: np.ndarray, op_index: int) -> np.ndarray:
     """d(probability of op)/d(input), exact, via the same graph as forward."""
     X, single = _rows(net, x)
-    if not 0 <= op_index < net.config.num_ops:
-        raise ConfigError(f"op index {op_index} out of range")
+    net.config.check_op(op_index)
     W0 = net.weights[0]
     grad = _dprob_dz0(net, X @ W0 + net.biases[0], op_index) @ W0.T
     return grad[0] if single else grad

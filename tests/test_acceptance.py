@@ -60,8 +60,8 @@ def planted_dataset(seed):
         num_users=800, num_resources=800, num_user_meta=8, num_res_meta=8,
         num_rules=2, num_ops=2, value_set_sizes=(20,) * 16, seed=seed, neg_ratio=0.3,
     )
-    users, resources = d.generate_entities(planted_rules(), cfg)
-    return d.generate_tuples(planted_rules(), users, resources, cfg)
+    U, R = d.generate_entities(planted_rules(), cfg)
+    return d.generate_tuples(planted_rules(), U, R, cfg)
 
 
 @pytest.fixture(scope="session")

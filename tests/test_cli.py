@@ -98,6 +98,15 @@ class TestSynth:
         assert err.startswith("error:") and "num_users" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("line", ["neg_ration = 0.9", "sed = 5"])
+    def test_unknown_config_key_is_single_line_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SYNTH_CFG + line + "\n")
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        key = line.split()[0]
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_neg_ratio_is_single_line_error(self, tmp_path, capsys, value):
@@ -135,6 +144,12 @@ class TestIngest:
         assert self.run(tmp_path, text) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: row 3:") and err.count("\n") == 1
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_unknown_config_key_is_single_line_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(self, "SCHEMA_CFG", self.SCHEMA_CFG + "res_meta_col = level\n")
+        assert self.run(tmp_path, "dept,level,RESOURCE,ACTION\n3,1,900,1\n") == 1
+        assert capsys.readouterr().err == "error: unknown config key 'res_meta_col'\n"
         assert not (tmp_path / "out.txt").exists()
 
 

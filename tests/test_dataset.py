@@ -89,48 +89,58 @@ class TestGenerateEntities:
         # department=cs): every UAE condition holds on it
         cfg = small_config(num_rules=6, constraint_prob=1.0)
         rules = d.generate_rules(cfg)
-        users, resources = d.generate_entities(rules, cfg)
+        U, R = d.generate_entities(rules, cfg)
         for k, rule in enumerate(rules):
             for i, values in rule.uae:
-                assert users[k].meta[i] in values
+                assert U[k, i] in values
             for j, values in rule.rae:
-                assert resources[k].meta[j] in values
+                assert R[k, j] in values
             for cu, cr in rule.constraints:
-                assert users[k].meta[cu] == resources[k].meta[cr]
+                assert U[k, cu] == R[k, cr]
 
     def test_values_respect_restricted_sets(self):
         cfg = small_config(value_set_sizes=(6,) * 16)
         rules = d.generate_rules(cfg)
-        users, resources = d.generate_entities(rules, cfg)
-        assert all(v < 6 for u in users for v in u.meta)
-        assert all(v < 6 for r in resources for v in r.meta)
+        U, R = d.generate_entities(rules, cfg)
+        assert (U >= 0).all() and (U < 6).all()
+        assert (R >= 0).all() and (R < 6).all()
 
     def test_deterministic(self):
         cfg = small_config()
         rules = d.generate_rules(cfg)
-        assert d.generate_entities(rules, cfg) == d.generate_entities(rules, cfg)
+        first, again = d.generate_entities(rules, cfg), d.generate_entities(rules, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
     def test_ids_unique_and_sequential(self):
+        # an entity's id is its row: the dataset's metadata is that row's
         cfg = small_config()
-        users, resources = d.generate_entities(d.generate_rules(cfg), cfg)
-        assert [u.id for u in users] == list(range(cfg.num_users))
-        assert [r.id for r in resources] == list(range(cfg.num_resources))
+        dset, _, U, R = d.synthesize(cfg)
+        assert U.shape == (cfg.num_users, cfg.num_user_meta)
+        assert R.shape == (cfg.num_resources, cfg.num_res_meta)
+        assert np.array_equal(dset.M, np.hstack((U[dset.ids[:, 0]], R[dset.ids[:, 1]])))
+
+    def test_matrices_are_read_only_int64(self):
+        cfg = small_config()
+        for M in d.generate_entities(d.generate_rules(cfg), cfg):
+            assert M.dtype == np.int64 and M.flags.c_contiguous and not M.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 1
 
 
-def evaluate_rule(rule: d.Rule, user: d.Entity, resource: d.Entity) -> set[int]:
-    """Operations the rule grants to (user, resource); empty if unsatisfied.
+def evaluate_rule(rule: d.Rule, umeta, rmeta) -> set[int]:
+    """Operations the rule grants to a (user, resource) metadata pair; empty if unsatisfied.
 
     The pairwise oracle for `generate_tuples`: one pair at a time, over full
     metadata, hidden positions included.
     """
     for index, values in rule.uae:
-        if user.meta[index] not in values:
+        if umeta[index] not in values:
             return set()
     for index, values in rule.rae:
-        if resource.meta[index] not in values:
+        if rmeta[index] not in values:
             return set()
     for cu, cr in rule.constraints:
-        if user.meta[cu] != resource.meta[cr]:
+        if umeta[cu] != rmeta[cr]:
             return set()
     return set(rule.ops)
 
@@ -145,25 +155,25 @@ class TestEvaluateRule:
     )
 
     def test_satisfying_pair_gets_the_rule_ops(self):
-        student = d.Entity(0, (2, 7, 0, 0, 0, 0, 0, 0))
-        document = d.Entity(0, (5, 7, 0, 0, 0, 0, 0, 0))
+        student = (2, 7, 0, 0, 0, 0, 0, 0)
+        document = (5, 7, 0, 0, 0, 0, 0, 0)
         assert evaluate_rule(self.rule, student, document) == {0}
 
     def test_failed_uae_condition_denies(self):
-        user = d.Entity(0, (3, 7, 0, 0, 0, 0, 0, 0))
-        document = d.Entity(0, (5, 7, 0, 0, 0, 0, 0, 0))
+        user = (3, 7, 0, 0, 0, 0, 0, 0)
+        document = (5, 7, 0, 0, 0, 0, 0, 0)
         assert evaluate_rule(self.rule, user, document) == set()
 
     def test_unequal_constraint_denies(self):
-        student = d.Entity(0, (2, 7, 0, 0, 0, 0, 0, 0))
-        document = d.Entity(0, (5, 6, 0, 0, 0, 0, 0, 0))
+        student = (2, 7, 0, 0, 0, 0, 0, 0)
+        document = (5, 6, 0, 0, 0, 0, 0, 0)
         assert evaluate_rule(self.rule, student, document) == set()
 
     def test_hidden_metadata_participate(self):
         rule = d.Rule(uae=((7, (1,)),), rae=((0, (0,)),), ops=frozenset({1}))
-        user_match = d.Entity(0, (0,) * 7 + (1,))
-        user_miss = d.Entity(1, (0,) * 8)
-        res = d.Entity(0, (0,) * 8)
+        user_match = (0,) * 7 + (1,)
+        user_miss = (0,) * 8
+        res = (0,) * 8
         assert evaluate_rule(rule, user_match, res) == {1}
         assert evaluate_rule(rule, user_miss, res) == set()
 
@@ -171,13 +181,11 @@ class TestEvaluateRule:
 class TestGenerateTuples:
     def test_ops_equal_union_of_rules_over_full_metadata(self):
         cfg = small_config(constraint_prob=1.0, neg_ratio=0.5)
-        dset, rules, users, resources = d.synthesize(cfg)
-        user_by_id = {u.id: u for u in users}
-        res_by_id = {r.id: r for r in resources}
+        dset, rules, U, R = d.synthesize(cfg)
         for t in dset.tuples:
             granted = set()
             for rule in rules:
-                granted |= evaluate_rule(rule, user_by_id[t.uid], res_by_id[t.rid])
+                granted |= evaluate_rule(rule, U[t.uid], R[t.rid])
             expected = tuple(1 if op in granted else 0 for op in range(cfg.num_ops))
             assert t.ops == expected
 
@@ -192,17 +200,29 @@ class TestGenerateTuples:
         # 36 pairs, 3 granted: 3e5 negatives wanted, 33 possible
         cfg = small_config(num_users=6, num_resources=6, num_rules=2, seed=1, neg_ratio=1e5)
         rules = d.generate_rules(cfg)
-        users, resources = d.generate_entities(rules, cfg)
-        fewer = d.generate_tuples(rules, users, resources, replace(cfg, neg_ratio=1e3))
+        U, R = d.generate_entities(rules, cfg)
+        fewer = d.generate_tuples(rules, U, R, replace(cfg, neg_ratio=1e3))
         draws = []
         randint = d.SplitMix64.randint
         monkeypatch.setattr(
             d.SplitMix64, "randint", lambda rng, n: draws.append(n) or randint(rng, n)
         )
-        dset = d.generate_tuples(rules, users, resources, cfg)
+        dset = d.generate_tuples(rules, U, R, cfg)
         assert sum(not any(t.ops) for t in dset.tuples) == 33
         assert len(dset.tuples) == 36 and dset == fewer
         assert len(draws) < 100 * 33
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["users", "resources"])
+    def test_rejects_matrices_of_the_wrong_width(self, side):
+        cfg = small_config()
+        rules = d.generate_rules(cfg)
+        matrices = list(d.generate_entities(rules, cfg))
+        M = matrices[side]
+        for wrong in (M[:, 1:], M[:, 0], M + 0.5, M.astype(np.uint64)):
+            args = list(matrices)
+            args[side] = wrong
+            with pytest.raises(ConfigError, match=("user", "resource")[side] + " matrix"):
+                d.generate_tuples(rules, *args, cfg)
 
     def test_no_duplicate_pairs(self):
         dset, *_ = d.synthesize(small_config())
@@ -224,8 +244,8 @@ class TestGenerateTuples:
     )
     def test_positives_equal_the_pairwise_oracle(self, overrides):
         cfg = small_config(**overrides)
-        dset, rules, users, resources = d.synthesize(cfg)
-        assert _positives(dset) == _oracle_grants(rules, users, resources)
+        dset, rules, U, R = d.synthesize(cfg)
+        assert _positives(dset) == _oracle_grants(rules, U, R)
 
     def test_multi_value_conditions_and_two_constraints(self):
         # shapes `_draw_rule` never emits: several admissible values per
@@ -243,14 +263,13 @@ class TestGenerateTuples:
             d.Rule(uae=((3, (4, 5)),), rae=((2, (0, 1, 2)),), ops=frozenset({3, 0}),
                    constraints=((0, 0), (0, 3))),
         ]
-        users, resources = d.generate_entities(rules, cfg)
-        dset = d.generate_tuples(rules, users, resources, cfg)
-        expected = _oracle_grants(rules, users, resources)
+        U, R = d.generate_entities(rules, cfg)
+        dset = d.generate_tuples(rules, U, R, cfg)
+        expected = _oracle_grants(rules, U, R)
         assert len(expected) > 0
         assert _positives(dset) == expected
-        meta = {(t.uid, t.rid): (t.umeta, t.rmeta) for t in dset.tuples}
-        assert all(meta[u.id, r.id] == (u.meta, r.meta) for u in users for r in resources
-                   if (u.id, r.id) in meta)
+        assert all((t.umeta, t.rmeta) == (tuple(U[t.uid].tolist()), tuple(R[t.rid].tolist()))
+                   for t in dset.tuples)
         assert len(dset) - len(expected) == round(cfg.neg_ratio * len(expected))
 
     def test_acceptance_dataset_is_pinned(self):
@@ -263,14 +282,14 @@ class TestGenerateTuples:
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "54071e29a4e80ad9"
 
 
-def _oracle_grants(rules, users, resources):
+def _oracle_grants(rules, U, R):
     """(uid, rid) -> granted ops for every pair, scored one pair at a time."""
     grants = {}
-    for u in users:
-        for r in resources:
-            ops = set().union(*(evaluate_rule(rule, u, r) for rule in rules))
+    for uid, umeta in enumerate(U.tolist()):
+        for rid, rmeta in enumerate(R.tolist()):
+            ops = set().union(*(evaluate_rule(rule, umeta, rmeta) for rule in rules))
             if ops:
-                grants[u.id, r.id] = ops
+                grants[uid, rid] = ops
     return grants
 
 
@@ -305,12 +324,12 @@ def test_random_configs_match_the_pairwise_oracle(
         value_distribution="zipf" if zipf else "uniform",
     )
     try:
-        dset, rules, users, resources = d.synthesize(cfg)
+        dset, rules, U, R = d.synthesize(cfg)
     except d.SynthesisError:  # no free visible position left for a constraint
         return
     positives = _positives(dset)
-    assert positives == _oracle_grants(rules, users, resources)
-    free = len(users) * len(resources) - len(positives)
+    assert positives == _oracle_grants(rules, U, R)
+    free = len(U) * len(R) - len(positives)
     assert len(dset) - len(positives) <= min(round(neg_ratio * len(positives)), free)
     assert len({(t.uid, t.rid) for t in dset.tuples}) == len(dset)
 
@@ -441,6 +460,21 @@ class TestColumns:
     def test_inconsistent_tuple_rejected(self):
         t = d.AuthorizationTuple(4, 5, (1, 2), (3,), (1,))
         with pytest.raises(FormatError, match=r"tuple \(4, 5\) is inconsistent"):
+            d.Dataset(1, 1, 1, (t,))
+
+    @pytest.mark.parametrize(
+        "t", [d.AuthorizationTuple(0, 0, (1.7,), (2,), (1,)),
+              d.AuthorizationTuple(0, 0, (1,), (2.0,), (1,)),
+              d.AuthorizationTuple(0.5, 0, (1,), (2,), (1,))],
+    )
+    def test_non_integer_value_rejected(self, t):
+        with pytest.raises(FormatError, match="holds a non-integer value$"):
+            d.Dataset(1, 1, 1, (t,))
+
+    @pytest.mark.parametrize("ops", [(7,), (-1,), (0.5,), (1.0,)])
+    def test_operation_value_other_than_a_bit_rejected(self, ops):
+        t = d.AuthorizationTuple(4, 5, (1,), (2,), ops)
+        with pytest.raises(FormatError, match=r"tuple \(4, 5\)"):
             d.Dataset(1, 1, 1, (t,))
 
 

@@ -87,11 +87,6 @@ class TestEncodeMatrix:
         with pytest.raises(ConfigError):
             d.encode_pair(enc, (1, 2), (5,))
 
-    def test_row_count_mismatch_rejected(self):
-        enc = d.build_encoder(tiny_dataset(), "onehot")
-        with pytest.raises(ConfigError):
-            d.encode_matrix(enc, np.zeros((2, 1)), np.zeros((3, 1)))
-
 
 class TestEncodePositions:
     @pytest.mark.parametrize("scheme", ["onehot", "binary"])
@@ -103,18 +98,17 @@ class TestEncodePositions:
         rng = np.random.default_rng(0)
         U = rng.integers(-1, 7, size=(30, 2))  # unseen values included
         R = rng.integers(-1, 7, size=(30, 1))
-        X = d.encode_matrix(enc, U, R)
+        X = d.encode_positions(enc, np.hstack((U, R)))
         split = sum(enc.block_widths[:2])
         assert np.array_equal(d.encode_positions(enc, U, 0), X[:, :split])
         assert np.array_equal(d.encode_positions(enc, R, 2), X[:, split:])
-        assert np.array_equal(d.encode_positions(enc, np.hstack((U, R))), X)
 
     @pytest.mark.parametrize(
         "call",
         [
             lambda enc: d.encode_positions(enc, np.zeros(2, dtype=np.int64)),
             lambda enc: d.encode_positions(enc, np.zeros((1, 1, 2), dtype=np.int64)),
-            lambda enc: d.encode_matrix(enc, np.zeros(1), np.zeros(1)),
+            lambda enc: d.encode_positions(enc, np.zeros(1, dtype=np.int64), 1),
             lambda enc: d.encode_pair(enc, [1.5], [5]),
             lambda enc: d.encode_positions(enc, [[np.nan, 5.0]]),
             lambda enc: d.encode_positions(enc, [[np.inf, 5.0]]),

@@ -33,15 +33,33 @@ class TestStore:
     def test_lookup_round_trip(self, setup):
         _, _, store, dset = setup
         t = dset.tuples[0]
-        assert store.lookup_user(t.uid) == t.umeta
-        assert store.lookup_resource(t.rid) == t.rmeta
+        assert tuple(store.U[store.uids.tolist().index(t.uid)].tolist()) == t.umeta
+        assert tuple(store.R[store.rids.tolist().index(t.rid)].tolist()) == t.rmeta
 
     def test_unknown_ids(self, setup):
-        _, _, store, _ = setup
+        _, enc, store, dset = setup
+        t = dset.tuples[0]
         with pytest.raises(NotFoundError, match="unknown user 999999"):
-            store.lookup_user(999999)
+            store.features(enc, 999999, t.rid)
         with pytest.raises(NotFoundError, match="unknown resource"):
-            store.lookup_resource(999999)
+            store.features(enc, t.uid, 999999)
+
+    @pytest.mark.parametrize("scheme", ["onehot", "binary"])
+    def test_features_are_each_tuples_encoded_row(self, setup, scheme):
+        _, _, store, dset = setup
+        enc = d.build_encoder(dset, scheme)
+        want = d.encode_positions(enc, dset.M)
+        got = np.array([store.features(enc, u, r) for u, r in dset.ids.tolist()])
+        assert got.tobytes() == want.tobytes()
+
+    def test_arrays_are_read_only_int64(self, setup):
+        _, _, store, dset = setup
+        assert store.U.shape == (len(store.uids), dset.num_user_meta)
+        assert store.R.shape == (len(store.rids), dset.num_res_meta)
+        for a in (store.uids, store.U, store.rids, store.R):
+            assert a.dtype == np.int64 and a.flags.c_contiguous and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
 
     def test_conflicting_metadata_rejected(self):
         tuples = (
@@ -98,10 +116,14 @@ def test_store_matches_the_per_tuple_oracle(dset):
         assert str(got.value) == str(expected)
         return
     store = d.build_store(dset)
-    assert list(store._users.items()) == list(users.items())
-    assert list(store._resources.items()) == list(resources.items())
-    assert all(type(v) is int for m in (store._users, store._resources)
-               for k, meta in m.items() for v in (k, *meta))
+    for ids, M, width, table in (
+        (store.uids, store.U, dset.num_user_meta, users),
+        (store.rids, store.R, dset.num_res_meta, resources),
+    ):
+        assert ids.dtype == M.dtype == np.int64 and M.shape == (len(table), width)
+        assert not (ids.flags.writeable or M.flags.writeable)
+        assert ids.tolist() == list(table)
+        assert [tuple(row) for row in M.tolist()] == list(table.values())
 
 
 @pytest.mark.parametrize(
@@ -142,15 +164,6 @@ class TestDecide:
         with pytest.raises(ConfigError):
             d.decide(net, enc, store, t.uid, t.rid, 5)
 
-    def test_decide_all_covers_every_op(self, setup):
-        net, enc, store, dset = setup
-        t = dset.tuples[0]
-        decs = d.decide_all(net, enc, store, t.uid, t.rid)
-        assert [x.op_index for x in decs] == [0, 1]
-        for dec in decs:
-            single = d.decide(net, enc, store, t.uid, t.rid, dec.op_index)
-            assert dec.probability == single.probability
-
     def test_format(self):
         assert d.format_decision(d.Decision(0, 0.8312999, True, 0.5)) == "GRANT 0.831300"
         assert d.format_decision(d.Decision(1, 0.25, False, 0.5)) == "DENY 0.250000"
@@ -173,9 +186,13 @@ def unseen_setup():
     return pairs, d.build_store(dset)
 
 
+def _metadata(store, uid, rid):
+    """The pair's user and resource metadata rows, from the store's arrays."""
+    return store.U[store.uids.tolist().index(uid)], store.R[store.rids.tolist().index(rid)]
+
+
 def _reference(net, enc, store, uid, rid):
-    x = d.encode_pair(enc, store.lookup_user(uid), store.lookup_resource(rid))
-    return d.forward(net, x)
+    return d.forward(net, d.encode_pair(enc, *_metadata(store, uid, rid)))
 
 
 class TestPreEncodedRows:
@@ -183,10 +200,10 @@ class TestPreEncodedRows:
         pairs, store = unseen_setup
         enc = pairs[0][1]
         user_seen, res_seen = enc.seen_values[:3], enc.seen_values[3:]
-        assert any(v not in seen for u in store.user_ids
-                   for v, seen in zip(store.lookup_user(u), user_seen))
-        assert any(v not in seen for r in store.resource_ids
-                   for v, seen in zip(store.lookup_resource(r), res_seen))
+        assert any(v not in seen for row in store.U.tolist()
+                   for v, seen in zip(row, user_seen))
+        assert any(v not in seen for row in store.R.tolist()
+                   for v, seen in zip(row, res_seen))
 
     def test_decisions_are_bit_exact_for_every_pair(self, unseen_setup):
         pairs, store = unseen_setup
@@ -195,8 +212,6 @@ class TestPreEncodedRows:
             for uid in store.user_ids:
                 for rid in store.resource_ids:
                     ref = _reference(net, enc, store, uid, rid)
-                    decs = d.decide_all(net, enc, store, uid, rid)
-                    assert [x.probability for x in decs] == [float(p) for p in ref]
                     for op in range(net.config.num_ops):
                         assert d.decide(net, enc, store, uid, rid, op).probability == float(ref[op])
 
@@ -213,8 +228,7 @@ class TestPreEncodedRows:
         for _, enc in pairs:
             for uid in store.user_ids:
                 for rid in store.resource_ids:
-                    umeta, rmeta = store.lookup_user(uid), store.lookup_resource(rid)
-                    want = d.encode_pair(enc, umeta, rmeta)
+                    want = d.encode_pair(enc, *_metadata(store, uid, rid))
                     assert np.array_equal(store.features(enc, uid, rid), want)
         with pytest.raises(NotFoundError, match="^unknown user 999999$"):
             store.features(enc, 999999, 999998)
@@ -227,7 +241,7 @@ class TestPreEncodedRows:
         net, enc = pairs[which]
         for uid in store.user_ids[::3]:
             for rid in store.resource_ids[::3]:
-                x = d.encode_pair(enc, store.lookup_user(uid), store.lookup_resource(rid))
+                x = d.encode_pair(enc, *_metadata(store, uid, rid))
                 for op in range(net.config.num_ops):
                     want = d.integrated_gradients(net, x, np.zeros_like(x), op, 16)
                     got = d.local_explain(net, enc, store, uid, rid, op, steps=16)
@@ -255,7 +269,7 @@ class TestPreEncodedRows:
                 net, enc = pairs[which]
                 uid, rid = ids[(7 * i + k) % len(ids)]
                 try:
-                    got = [x.probability for x in d.decide_all(net, enc, store, uid, rid)]
+                    got = [d.decide(net, enc, store, uid, rid, op).probability for op in (0, 1)]
                 except Exception as exc:  # a dying thread would otherwise go unseen
                     got = repr(exc)
                 if got != expected[which][(uid, rid)]:
@@ -281,7 +295,7 @@ class TestPreEncodedRows:
         with pytest.raises(NotFoundError, match="^unknown user 999999$"):
             d.decide(net, enc, store, 999999, 999998, 0)
         with pytest.raises(NotFoundError, match="^unknown resource 999998$"):
-            d.decide_all(net, enc, store, uid, 999998)
+            d.decide(net, enc, store, uid, 999998, 0)
         with pytest.raises(ConfigError, match="^operation index 2 out of range$"):
             d.decide(net, enc, store, 999999, 999998, 2)
         assert handle_line(f"DECIDE 999999 {rid} 0", net, enc, store, 0.5) == (

@@ -100,7 +100,7 @@ class TestIntegratedGradients:
 
     @pytest.mark.parametrize("x", [np.ones(2), np.ones((0, 2))], ids=["one-row", "no-rows"])
     def test_op_out_of_range(self, x):
-        with pytest.raises(ConfigError, match="op index 1"):
+        with pytest.raises(ConfigError, match="operation index 1"):
             d.integrated_gradients(linear_net([1.0, 1.0]), x, np.zeros_like(x), 1, steps=4)
 
     @pytest.mark.parametrize(
@@ -225,7 +225,8 @@ class TestExplain:
 
     @pytest.mark.parametrize(
         "op, sample_n, message",
-        [(2, 5, "op index 2"), (9, 5, "op index 9"), (-1, 5, "op index -1"),
+        [(2, 5, "operation index 2"), (9, 5, "operation index 9"),
+         (-1, 5, "operation index -1"),
          (0, 0, "sample size"), (0, -2, "sample size")],
     )
     def test_global_bad_op_or_sample_size_rejected(self, trained, op, sample_n, message):
@@ -233,6 +234,15 @@ class TestExplain:
         assert dset.num_ops == 2
         with pytest.raises(ConfigError, match=message):
             d.global_explain(net, enc, dset, op, sample_n=sample_n, steps=4)
+
+    def test_global_dataset_and_model_ops_must_agree(self, trained):
+        net, enc, dset = trained
+        one_op = d.Dataset(4, 4, 1, [
+            d.AuthorizationTuple(t.uid, t.rid, t.umeta, t.rmeta, t.ops[1:]) for t in dset.tuples
+        ])
+        message = "^dataset operation count 1 differs from the model's 2$"
+        with pytest.raises(ConfigError, match=message):
+            d.global_explain(net, enc, one_op, 1, sample_n=5, steps=4)
 
     def test_significance_order_sorted_descending(self, trained):
         net, enc, dset = trained
@@ -274,6 +284,13 @@ class TestFlipStudy:
         curve = d.flip_study(net, enc, dset, 0, donor, order)
         assert curve.fractions[-1] == 1.0
 
+    @pytest.mark.parametrize("op", [2, -1])
+    def test_op_out_of_range_rejected(self, trained, op):
+        net, enc, dset = trained
+        donor = pick_donor(net, enc, dset, 0)
+        with pytest.raises(ConfigError, match=f"^operation index {op} out of range$"):
+            d.flip_study(net, enc, dset, op, donor, list(enc.names))
+
     def test_denied_donor_rejected(self, trained):
         net, enc, dset = trained
         denied = next(
@@ -287,7 +304,7 @@ def side_based_flip_study(net, enc, dset, op, donor, order, threshold=0.5):
     """flip_study on separate user and resource matrices."""
     U = np.array([t.umeta for t in dset.tuples])
     R = np.array([t.rmeta for t in dset.tuples])
-    denied = d.forward(net, d.encode_matrix(enc, U, R))[:, op] <= threshold
+    denied = d.forward(net, d.encode_positions(enc, np.hstack((U, R))))[:, op] <= threshold
     U, R = U[denied], R[denied]
     fractions = [0.0]
     for name in order:
@@ -296,7 +313,7 @@ def side_based_flip_study(net, enc, dset, op, donor, order, threshold=0.5):
             U[:, col] = donor.umeta[col]
         else:
             R[:, col] = donor.rmeta[col]
-        probs = d.forward(net, d.encode_matrix(enc, U, R))[:, op]
+        probs = d.forward(net, d.encode_positions(enc, np.hstack((U, R))))[:, op]
         fractions.append(float(np.mean(probs > threshold)))
     return d.FlipCurve(tuple(order), tuple(fractions))
 
