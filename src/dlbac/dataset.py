@@ -9,7 +9,12 @@ ints, built on first access, that no stage of the pipeline reads.
 
 Synthesis starts from conjunctive rules; ground-truth labels are always
 computed against the FULL metadata, while `project_visible` later hides
-trailing metadata columns from the learner.
+trailing metadata columns from the learner.  Each stage reads its own
+SplitMix64 sub-stream.  Rules are drawn one call at a time; entity
+metadata and negative pairs come from blocks of draws (`SplitMix64.block`),
+indexed so that every value is the one a draw-at-a-time loop would give:
+each entity takes a known number of draws, and negatives are the first new
+keys in draw order.  The split's shuffle reads its swaps from one block.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import functools
 import io
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,21 +210,6 @@ def metadata_names(num_user_meta: int, num_res_meta: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _sample_value(rng: SplitMix64, size: int, distribution: str) -> int:
-    if distribution == "uniform":
-        return rng.randint(size)
-    # zipf with exponent 1: P(v) proportional to 1/(v+1)
-    weights = [1.0 / (v + 1) for v in range(size)]
-    total = sum(weights)
-    u = rng.random() * total
-    acc = 0.0
-    for v, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return v
-    return size - 1
-
-
 def generate_rules(config: SynthConfig) -> list[Rule]:
     """Draw `num_rules` conjunctive rules.
 
@@ -259,21 +250,54 @@ def _draw_rule(rng: SplitMix64, config: SynthConfig) -> Rule | None:
     return Rule(uae=uae, rae=rae, ops=ops, constraints=constraints)
 
 
-def _force_condition(
-    rng: SplitMix64, meta: list[int], cond: tuple[int, tuple[int, ...]], size: int, rule_no: int
-) -> None:
+def _values(draws: np.ndarray, sizes: tuple[int, ...], distribution: str) -> np.ndarray:
+    """Metadata values from one draw each; column i ranges over range(sizes[i])."""
+    if distribution == "uniform":
+        return (draws % np.array(sizes, dtype=np.uint64)).astype(np.int64)
+    # zipf with exponent 1: P(v) proportional to 1/(v+1).  A draw's value is
+    # the first v whose running weight exceeds random() * total, with the
+    # running weights and the total summed as Python floats
+    u = (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    values = np.empty(draws.shape, dtype=np.int64)
+    for i, size in enumerate(sizes):
+        weights = [1.0 / (v + 1) for v in range(size)]
+        bounds = np.array(list(itertools.accumulate(weights)))
+        found = np.searchsorted(bounds, u[:, i] * sum(weights), side="right")
+        values[:, i] = np.minimum(found, size - 1)
+    return values
+
+
+def _options(rule_no: int, cond: tuple[int, tuple[int, ...]], size: int) -> tuple[int, list[int]]:
+    """(index, admissible values) of a condition forced on rule `rule_no`'s entity."""
     index, values = cond
     feasible = [v for v in values if 0 <= v < size]
     if not feasible:
         raise SynthesisError(
             f"rule {rule_no}: no admissible value for metadata index {index}"
         )
-    meta[index] = rng.choice(feasible)
+    return index, feasible
 
 
-def _frozen(rows: list[list[int]], width: int) -> np.ndarray:
-    M = np.array(rows, dtype=np.int64).reshape(len(rows), width)
-    M.flags.writeable = False
+def _draw_side(
+    rng: SplitMix64, n: int, sizes: tuple[int, ...], distribution: str,
+    forced: list[list[tuple[int, Sequence[int]]]],
+) -> np.ndarray:
+    """n entities as a writable int64 matrix, read from one block of draws.
+
+    Entity k takes one draw per position, then, when k < len(forced), one
+    draw per (index, options) in forced[k], in order: that position becomes
+    options[draw % len(options)].
+    """
+    width = len(sizes)
+    extra = np.zeros(n, dtype=np.int64)
+    extra[: len(forced)] = [len(f) for f in forced]
+    start = np.arange(n, dtype=np.int64) * width + np.cumsum(extra) - extra
+    draws = rng.block(n * width + int(extra.sum()))
+    M = _values(draws[start[:, None] + np.arange(width)], sizes, distribution)
+    for k, patches in enumerate(forced):
+        first = int(start[k]) + width
+        for (index, options), draw in zip(patches, draws[first : first + len(patches)].tolist()):
+            M[k, index] = options[draw % len(options)]
     return M
 
 
@@ -283,43 +307,32 @@ def generate_entities(rules: list[Rule], config: SynthConfig) -> tuple[np.ndarra
     Entity k (k < num_rules) is forced to satisfy rule k, so every rule has
     at least one satisfying user and, for each resource created for a rule,
     a user matching its constraint value.  Remaining entities draw all
-    metadata from the configured distribution.
+    metadata from the configured distribution.  All users take one block
+    of draws, then all resources the next (see `_draw_side`).
     """
     if not rules:
         raise SynthesisError("no rules to generate entities from")
+    us, rs = config.user_sizes, config.res_sizes
+    # a constraint's user value stays inside both domains so that the
+    # forced resource below can mirror it
+    user_forced = [
+        [_options(k, cond, us[cond[0]]) for cond in rule.uae]
+        + [(cu, range(min(us[cu], rs[cr]))) for cu, cr in rule.constraints]
+        for k, rule in enumerate(rules[: config.num_users])
+    ]
+    res_forced = [
+        [_options(k, cond, rs[cond[0]]) for cond in rule.rae]
+        for k, rule in enumerate(rules[: config.num_resources])
+    ]
     rng = SplitMix64(derive_seed(config.seed, _ENTITIES_TAG))
-    users: list[list[int]] = []
-    for uid in range(config.num_users):
-        meta = [
-            _sample_value(rng, config.user_sizes[i], config.value_distribution)
-            for i in range(config.num_user_meta)
-        ]
-        if uid < len(rules):
-            rule = rules[uid]
-            for cond in rule.uae:
-                _force_condition(rng, meta, cond, config.user_sizes[cond[0]], uid)
-            for cu, cr in rule.constraints:
-                # keep the value inside both domains so the forced resource
-                # below can mirror it
-                meta[cu] = rng.randint(
-                    min(config.user_sizes[cu], config.res_sizes[cr])
-                )
-        users.append(meta)
-
-    resources: list[list[int]] = []
-    for rid in range(config.num_resources):
-        meta = [
-            _sample_value(rng, config.res_sizes[j], config.value_distribution)
-            for j in range(config.num_res_meta)
-        ]
-        if rid < len(rules):
-            rule = rules[rid]
-            for cond in rule.rae:
-                _force_condition(rng, meta, cond, config.res_sizes[cond[0]], rid)
-            for cu, cr in rule.constraints:
-                meta[cr] = users[rid][cu]
-        resources.append(meta)
-    return _frozen(users, config.num_user_meta), _frozen(resources, config.num_res_meta)
+    dist = config.value_distribution
+    U = _draw_side(rng, config.num_users, us, dist, user_forced)
+    R = _draw_side(rng, config.num_resources, rs, dist, res_forced)
+    for k, rule in enumerate(rules[: config.num_resources]):
+        for cu, cr in rule.constraints:
+            R[k, cr] = U[k, cu]
+    U.flags.writeable = R.flags.writeable = False
+    return U, R
 
 
 def _matching(M: np.ndarray, conditions) -> np.ndarray:
@@ -328,6 +341,35 @@ def _matching(M: np.ndarray, conditions) -> np.ndarray:
     for index, values in conditions:
         mask &= np.isin(M[:, index], np.array(values, dtype=np.int64))
     return np.flatnonzero(mask)
+
+
+_MAX_BLOCK = 1 << 20  # draws per block of negative sampling: 8 MiB of uint64
+
+
+def _negatives(rng: SplitMix64, taken: np.ndarray, n_neg: int, total_pairs: int) -> np.ndarray:
+    """Keys of up to n_neg pairs outside the distinct keys `taken`, in draw order.
+
+    Each draw is a key `next_u64() % total_pairs`.  The first n_neg keys not
+    taken and not drawn before are kept, or every free key once all are
+    drawn, out of at most 100 * max(n_neg, 1) draws.  The draws come in
+    blocks, sized from the expected number of draws still needed; the keys
+    kept are those that one draw at a time would keep.
+    """
+    need = min(n_neg, total_pairs - len(taken))
+    budget = 100 * max(n_neg, 1)
+    picked = [np.empty(0, dtype=np.int64)]
+    while need > 0 and budget > 0:
+        free = total_pairs - len(taken)
+        k = min(budget, _MAX_BLOCK, need * total_pairs // free + need // 4 + 64)
+        budget -= k
+        drawn = (rng.block(k) % np.uint64(total_pairs)).astype(np.int64)
+        keys, first = np.unique(drawn, return_index=True)
+        fresh = ~np.isin(keys, taken, assume_unique=True)
+        new = drawn[np.sort(first[fresh])[:need]]
+        picked.append(new)
+        need -= len(new)
+        taken = np.concatenate((taken, new))
+    return np.concatenate(picked)
 
 
 def generate_tuples(
@@ -340,7 +382,9 @@ def generate_tuples(
     satisfied rules) plus round(neg_ratio * positives) all-deny pairs sampled
     uniformly from the remaining pairs, or every remaining pair when there
     are fewer.  A rule's grants are the true cells of one boolean matrix over
-    the users x resources its conditions match, one AND per constraint.
+    the users x resources its conditions match, one AND per constraint; a
+    pair's op bitmask is the OR over the rules that grant it.  Tuples come
+    sorted by (uid, rid).
     """
     U, R = np.asarray(U), np.asarray(R)
     for side, M, width in (("user", U, config.num_user_meta), ("resource", R, config.num_res_meta)):
@@ -348,36 +392,34 @@ def generate_tuples(
             raise ConfigError(f"{side} matrix must be signed integers in {width} columns")
     n_res = len(R)
 
-    labels: dict[int, int] = {}  # user_idx * n_res + res_idx -> op bitmask, 0 if negative
-    for rule in rules:
+    dtype = np.int64 if config.num_ops < 63 else object  # op bitmasks past bit 62 stay Python ints
+    keys, masks = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=dtype)]
+    for rule in rules:  # a pair's key is user_idx * n_res + res_idx
         u_idx, r_idx = _matching(U, rule.uae), _matching(R, rule.rae)
         granted = np.ones((u_idx.size, r_idx.size), dtype=bool)
         for cu, cr in rule.constraints:
             granted &= U[u_idx, cu][:, None] == R[r_idx, cr][None, :]
         ui, ri = np.nonzero(granted)
         mask = sum(1 << op for op in rule.ops if op < config.num_ops)
-        for key in (u_idx[ui] * n_res + r_idx[ri]).tolist():
-            labels[key] = labels.get(key, 0) | mask
+        keys.append(u_idx[ui] * n_res + r_idx[ri])
+        masks.append(np.full(ui.size, mask, dtype=dtype))
+    keys, masks = np.concatenate(keys), np.concatenate(masks)
+    order = np.argsort(keys)
+    keys, masks = keys[order], masks[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))  # where each pair's run of rules starts
+    keys, masks = keys[first], np.bitwise_or.reduceat(masks, first)
 
     rng = SplitMix64(derive_seed(config.seed, _TUPLES_TAG))
-    n_pos = len(labels)
-    n_neg = int(round(config.neg_ratio * n_pos))
-    total_pairs = len(U) * n_res
-    wanted = n_pos + min(n_neg, total_pairs - n_pos)
-    for _ in range(100 * max(n_neg, 1)):
-        if len(labels) >= wanted:
-            break
-        labels.setdefault(rng.randint(total_pairs), 0)
-
-    keys = np.fromiter(labels, dtype=np.int64, count=len(labels))
-    # op bitmasks past bit 62 stay Python ints
-    masks = np.array(list(labels.values()), dtype=np.int64 if config.num_ops < 63 else object)
-    uids, rids = np.divmod(keys, n_res)  # an entity's id is its row
-    order = np.lexsort((rids, uids))  # stable: by (uid, rid)
+    n_neg = int(round(config.neg_ratio * len(keys)))
+    negatives = _negatives(rng, keys, n_neg, len(U) * n_res)
+    keys = np.concatenate((keys, negatives))
+    masks = np.concatenate((masks, np.zeros(negatives.size, dtype=dtype)))
+    order = np.argsort(keys)  # by key, which is by (uid, rid)
+    uids, rids = np.divmod(keys[order], n_res)  # an entity's id is its row
     bits = (masks[order, None] >> np.arange(config.num_ops)) & 1
     return Dataset._of(
         config.num_user_meta, config.num_res_meta, config.num_ops,
-        np.column_stack((uids, rids))[order], np.hstack((U[uids], R[rids]))[order], bits,
+        np.column_stack((uids, rids)), np.hstack((U[uids], R[rids])), bits,
     )
 
 

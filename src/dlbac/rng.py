@@ -2,13 +2,25 @@
 
 SplitMix64 (Steele, Lea & Flood's mix function) is small enough to be
 re-implemented verbatim in any language, so datasets generated here are
-byte-reproducible by ports.  Integer draws use plain modulo reduction;
-the modulo bias is irrelevant at 64 bits and keeps the stream definition
-trivial.
+byte-reproducible by ports.  The stream a port must follow: draw k
+(k = 1, 2, ...) of the generator seeded with `seed` is
+
+    mix((seed + k * GAMMA) mod 2**64)
+
+with GAMMA = 0x9E3779B97F4A7C15 and `mix` the three xor-shift-multiply
+steps of `next_u64`.  A draw depends only on its counter, so `block(k)`
+computes the next k draws as one array; it is that definition, not a
+second stream, and any mix of `block` and `next_u64` calls reads the one
+stream in order.  Integer draws use plain modulo reduction; the modulo bias
+is irrelevant at 64 bits and keeps the stream definition trivial.
 """
+
+import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -18,9 +30,22 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
         return z ^ (z >> 31)
+
+    def block(self, k: int) -> np.ndarray:
+        """The next k draws as a uint64 array, equal to k `next_u64` calls."""
+        z = np.arange(1, k + 1, dtype=np.uint64)  # uint64 arithmetic wraps mod 2**64
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + k * _GAMMA) & MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -36,9 +61,10 @@ class SplitMix64:
         return seq[self.randint(len(seq))]
 
     def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randint(i + 1)
+        """In-place Fisher-Yates shuffle: position i (from the end) swaps with draw % (i + 1)."""
+        n = len(seq)
+        swaps = self.block(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), swaps.tolist()):
             seq[i], seq[j] = seq[j], seq[i]
 
     def sample_indices(self, n: int, k: int) -> list[int]:

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlbac as d
-from dlbac.errors import ConfigError, FormatError, IngestError
+from dlbac import dataset
+from dlbac.errors import ConfigError, FormatError, IngestError, SynthesisError
+from dlbac.rng import derive_seed
 
 
 def small_config(**overrides):
@@ -202,15 +204,13 @@ class TestGenerateTuples:
         rules = d.generate_rules(cfg)
         U, R = d.generate_entities(rules, cfg)
         fewer = d.generate_tuples(rules, U, R, replace(cfg, neg_ratio=1e3))
-        draws = []
-        randint = d.SplitMix64.randint
-        monkeypatch.setattr(
-            d.SplitMix64, "randint", lambda rng, n: draws.append(n) or randint(rng, n)
-        )
+        draws = []  # sizes of the blocks drawn
+        block = d.SplitMix64.block
+        monkeypatch.setattr(d.SplitMix64, "block", lambda rng, k: draws.append(k) or block(rng, k))
         dset = d.generate_tuples(rules, U, R, cfg)
         assert sum(not any(t.ops) for t in dset.tuples) == 33
         assert len(dset.tuples) == 36 and dset == fewer
-        assert len(draws) < 100 * 33
+        assert sum(draws) < 100 * 33
 
     @pytest.mark.parametrize("side", [0, 1], ids=["users", "resources"])
     def test_rejects_matrices_of_the_wrong_width(self, side):
@@ -281,6 +281,36 @@ class TestGenerateTuples:
         assert text.count("\n") == 11905  # header and 11,904 tuples
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "54071e29a4e80ad9"
 
+    # pins of the SplitMix64 streams: a port of the generator, or a change
+    # to how the draws are taken, must reproduce these byte for byte
+    def test_zipf_dataset_is_pinned(self):
+        cfg = d.SynthConfig(**ACCEPTANCE, value_distribution="zipf")
+        text = d.serialize_dataset(d.synthesize(cfg)[0])
+        assert text.count("\n") == 5785  # header and 5,784 tuples
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f88196a2b07e222b"
+
+    def test_acceptance_split_is_pinned(self):
+        data = d.synthesize(d.SynthConfig(**ACCEPTANCE))[0]
+        train, test = d.split_dataset(data, 0.2, 0)
+        assert (len(train), len(test)) == (9523, 2381)
+        assert _digest(train.ids.ravel().tolist()) == "3435aa430f269aee"
+        assert _digest(test.ids.ravel().tolist()) == "a78a8e87995247be"
+
+    def test_shuffle_is_pinned(self):
+        order = list(range(1000))
+        d.SplitMix64(7).shuffle(order)
+        assert _digest(order) == "18448dc5a0750f42"
+
+
+ACCEPTANCE = dict(
+    num_users=4500, num_resources=4500, num_user_meta=8, num_res_meta=8,
+    num_rules=20, num_ops=4, value_set_sizes=(20,) * 16, seed=29, neg_ratio=0.3,
+)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(" ".join(map(str, values)).encode()).hexdigest()[:16]
+
 
 def _oracle_grants(rules, U, R):
     """(uid, rid) -> granted ops for every pair, scored one pair at a time."""
@@ -332,6 +362,157 @@ def test_random_configs_match_the_pairwise_oracle(
     free = len(U) * len(R) - len(positives)
     assert len(dset) - len(positives) <= min(round(neg_ratio * len(positives)), free)
     assert len({(t.uid, t.rid) for t in dset.tuples}) == len(dset)
+
+
+# ---------------------------------------------------------------------------
+# scalar oracles for the block draws of synthesis: one SplitMix64 call per value
+# ---------------------------------------------------------------------------
+
+
+def _sample_value(rng, size, distribution):
+    if distribution == "uniform":
+        return rng.randint(size)
+    # zipf with exponent 1: P(v) proportional to 1/(v+1)
+    weights = [1.0 / (v + 1) for v in range(size)]
+    total = sum(weights)
+    u = rng.random() * total
+    acc = 0.0
+    for v, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return v
+    return size - 1
+
+
+def _force_condition(rng, meta, cond, size, rule_no):
+    index, values = cond
+    feasible = [v for v in values if 0 <= v < size]
+    if not feasible:
+        raise SynthesisError(f"rule {rule_no}: no admissible value for metadata index {index}")
+    meta[index] = rng.choice(feasible)
+
+
+def _scalar_entities(rules, config):
+    """`generate_entities` one draw at a time: every user, then every resource."""
+    rng = d.SplitMix64(derive_seed(config.seed, dataset._ENTITIES_TAG))
+    users = []
+    for uid in range(config.num_users):
+        meta = [_sample_value(rng, size, config.value_distribution) for size in config.user_sizes]
+        if uid < len(rules):
+            for cond in rules[uid].uae:
+                _force_condition(rng, meta, cond, config.user_sizes[cond[0]], uid)
+            for cu, cr in rules[uid].constraints:
+                meta[cu] = rng.randint(min(config.user_sizes[cu], config.res_sizes[cr]))
+        users.append(meta)
+    resources = []
+    for rid in range(config.num_resources):
+        meta = [_sample_value(rng, size, config.value_distribution) for size in config.res_sizes]
+        if rid < len(rules):
+            for cond in rules[rid].rae:
+                _force_condition(rng, meta, cond, config.res_sizes[cond[0]], rid)
+            for cu, cr in rules[rid].constraints:
+                meta[cr] = users[rid][cu]
+        resources.append(meta)
+    return np.array(users, dtype=np.int64), np.array(resources, dtype=np.int64)
+
+
+def _scalar_dataset(rules, U, R, config):
+    """`generate_tuples` from the pairwise oracle and one negative draw per iteration."""
+    grants = _oracle_grants(rules, U, R)
+    labels = dict.fromkeys((uid * len(R) + rid for uid, rid in grants), 1)
+    n_neg = int(round(config.neg_ratio * len(labels)))
+    total_pairs = len(U) * len(R)
+    wanted = len(labels) + min(n_neg, total_pairs - len(labels))
+    rng = d.SplitMix64(derive_seed(config.seed, dataset._TUPLES_TAG))
+    for _ in range(100 * max(n_neg, 1)):
+        if len(labels) >= wanted:
+            break
+        labels.setdefault(rng.randint(total_pairs), 0)
+    tuples = []
+    for key in sorted(labels):
+        uid, rid = divmod(key, len(R))
+        ops = grants.get((uid, rid), set())
+        tuples.append(d.AuthorizationTuple(
+            uid, rid, tuple(U[uid].tolist()), tuple(R[rid].tolist()),
+            tuple(int(op in ops) for op in range(config.num_ops)),
+        ))
+    return d.Dataset(config.num_user_meta, config.num_res_meta, config.num_ops, tuples)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    num_rules=st.integers(1, 4),
+    extra=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    metas=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    sizes=st.lists(
+        st.integers(dataset.MIN_VALUE_SET, dataset.MAX_VALUE_SET), min_size=6, max_size=6
+    ),
+    constraint_prob=st.sampled_from([0.0, 1.0]),
+    neg_ratio=st.sampled_from([0.0, 0.3, 1.0, 50.0]),  # 50: every free pair is wanted
+    zipf=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_block_synthesis_equals_the_scalar_oracles(
+    num_rules, extra, metas, sizes, constraint_prob, neg_ratio, zipf, seed
+):
+    nu, nr = metas
+    cfg = d.SynthConfig(
+        num_users=num_rules + extra[0], num_resources=num_rules + extra[1],
+        num_user_meta=nu, num_res_meta=nr, num_rules=num_rules,
+        value_set_sizes=sizes[:nu] + sizes[3 : 3 + nr], visible_user_meta=nu,
+        visible_res_meta=nr, constraint_prob=constraint_prob, seed=seed,
+        neg_ratio=neg_ratio, value_distribution="zipf" if zipf else "uniform",
+    )
+    try:
+        rules = d.generate_rules(cfg)
+    except SynthesisError:  # no free visible position left for a constraint
+        return
+    U, R = d.generate_entities(rules, cfg)
+    oracle_U, oracle_R = _scalar_entities(rules, cfg)
+    assert np.array_equal(U, oracle_U) and np.array_equal(R, oracle_R)
+    assert d.generate_tuples(rules, U, R, cfg) == _scalar_dataset(rules, U, R, cfg)
+
+
+def test_negatives_equal_the_scalar_loop_when_the_draw_budget_binds():
+    # 400 pairs, 399 granted: one negative wanted, found or not in 100 draws
+    cfg = d.SynthConfig(
+        num_users=20, num_resources=20, num_user_meta=1, num_res_meta=1, num_rules=2,
+        value_set_sizes=(6, 6), visible_user_meta=1, visible_res_meta=1, neg_ratio=0.0025,
+    )
+    rules = [
+        d.Rule(uae=((0, (0,)),), rae=((0, tuple(range(6))),), ops=frozenset({0})),
+        d.Rule(uae=((0, (1,)),), rae=((0, (0,)),), ops=frozenset({1})),
+    ]
+    U = np.zeros((20, 1), dtype=np.int64)
+    R = np.zeros((20, 1), dtype=np.int64)
+    U[7, 0] = R[11, 0] = 1  # (7, 11) is the one free pair
+    sizes = set()
+    for seed in range(40):
+        cfg = replace(cfg, seed=seed)
+        dset = d.generate_tuples(rules, U, R, cfg)
+        assert dset == _scalar_dataset(rules, U, R, cfg)
+        sizes.add(len(dset))
+    assert sizes == {399, 400}
+
+
+@pytest.mark.parametrize(
+    "second_uae, expected",
+    [(((4, (2,)), (0, (-1, 10, 12))), "rule 1: no admissible value for metadata index 0"),
+     (((4, (2,)),), "rule 0: no admissible value for metadata index 2")],
+    ids=["users-first", "resources"],
+)
+def test_no_admissible_value_raises_the_scalar_error(second_uae, expected):
+    # rule 0 has no admissible resource value; the user side is checked first
+    cfg = small_config(num_rules=2)  # every value set is range(10)
+    rules = [
+        d.Rule(uae=((1, (3,)),), rae=((2, (99,)),), ops=frozenset({0})),
+        d.Rule(uae=second_uae, rae=((0, (1,)),), ops=frozenset({1})),
+    ]
+    with pytest.raises(SynthesisError) as block:
+        d.generate_entities(rules, cfg)
+    with pytest.raises(SynthesisError) as scalar:
+        _scalar_entities(rules, cfg)
+    assert str(block.value) == str(scalar.value) == expected
 
 
 class TestFileFormat:

@@ -90,7 +90,7 @@ class TestEncodeMatrix:
 
 class TestEncodePositions:
     @pytest.mark.parametrize("scheme", ["onehot", "binary"])
-    def test_side_rows_are_the_column_slices_of_encode_matrix(self, scheme):
+    def test_side_rows_are_column_slices_of_the_full_row(self, scheme):
         tuples = tuple(
             d.AuthorizationTuple(i, i, (i % 3, i % 5), (i % 4,), (1,)) for i in range(12)
         )

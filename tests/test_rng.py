@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +22,13 @@ def _reference_next(state):
     return state, z ^ (z >> 31)
 
 
+def _scalar_shuffle(rng, seq):
+    """Fisher-Yates with one `randint` per swap: the oracle for `SplitMix64.shuffle`."""
+    for i in range(len(seq) - 1, 0, -1):
+        j = rng.randint(i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
 class TestStream:
     def test_known_seed_zero_outputs(self):
         rng = SplitMix64(0)
@@ -42,6 +50,59 @@ class TestStream:
     def test_outputs_fit_in_64_bits(self):
         rng = SplitMix64(7)
         assert all(0 <= rng.next_u64() <= MASK64 for _ in range(1000))
+
+
+GAMMA = 0x9E3779B97F4A7C15
+
+
+class TestBlock:
+    # the last three seeds wrap the counter past 2**64 within the first draws
+    @pytest.mark.parametrize("seed", [0, 42, MASK64, MASK64 - 1, (-3 * GAMMA) & MASK64])
+    @pytest.mark.parametrize("k", [0, 1, 2, 257])
+    def test_equals_k_scalar_draws(self, seed, k):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        got = a.block(k)
+        assert got.dtype == np.uint64 and got.shape == (k,)
+        assert got.tolist() == [b.next_u64() for _ in range(k)]
+        assert a.next_u64() == b.next_u64()  # the state moved by k
+
+    def test_is_the_counter_definition(self):
+        # draw k of a stream is mix(seed + k * GAMMA): the first draw of the
+        # generator seeded one step ahead is the second draw of this one
+        seed = 0x123456789ABCDEF
+        assert SplitMix64(seed).block(2)[1] == SplitMix64(seed + GAMMA).next_u64()
+
+    @given(
+        st.integers(0, MASK64),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 40)), max_size=8),
+    )
+    def test_interleaved_calls_read_one_stream(self, seed, calls):
+        mixed, scalar = SplitMix64(seed), SplitMix64(seed)
+        got = []
+        for as_block, k in calls:
+            got += mixed.block(k).tolist() if as_block else [mixed.next_u64() for _ in range(k)]
+        assert got == [scalar.next_u64() for _ in range(len(got))]
+        assert mixed.next_u64() == scalar.next_u64()
+
+
+class TestShuffle:
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_lists_match_the_scalar_loop(self, n):
+        a, b = SplitMix64(5), SplitMix64(5)
+        xs, ys = list(range(n)), list(range(n))
+        a.shuffle(xs)
+        _scalar_shuffle(b, ys)
+        assert xs == ys
+        assert a.next_u64() == b.next_u64()
+
+    @given(st.integers(0, MASK64), st.integers(0, 400))
+    def test_matches_the_scalar_loop(self, seed, n):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        xs, ys = [f"x{i}" for i in range(n)], [f"x{i}" for i in range(n)]
+        a.shuffle(xs)
+        _scalar_shuffle(b, ys)
+        assert xs == ys
+        assert a.next_u64() == b.next_u64()
 
 
 class TestDraws:
