@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -45,54 +46,47 @@ def _number(kind, text: str, what: str):
         raise ConfigError(f"{what}: expected {kind.__name__}, got {text!r}") from None
 
 
-def _cfg_int(cfg, key, default=None):
-    if key in cfg:
-        return _number(int, cfg[key], f"config key {key!r}")
-    if default is None:
-        raise ConfigError(f"missing config key {key!r}")
-    return default
-
-
-def _cfg_float(cfg, key, default):
-    return _number(float, cfg[key], f"config key {key!r}") if key in cfg else default
-
-
 def _int_list(text: str, what: str) -> tuple[int, ...]:
     return tuple(_number(int, t, what) for t in text.replace(",", " ").split())
 
 
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(t for t in text.replace(",", " ").split())
+def _str_list(text: str, what: str) -> tuple[str, ...]:
+    return tuple(text.replace(",", " ").split())
 
 
-def _check_keys(cfg: dict[str, str], target) -> None:
-    """Reject a key that names no field of the dataclass the config fills."""
-    names = {f.name for f in dataclasses.fields(target)}
+_READERS = {  # config text -> value, by the declared type of the field it fills
+    "int": functools.partial(_number, int),
+    "float": functools.partial(_number, float),
+    "str": lambda text, what: text,
+    "tuple[int, ...] | None": _int_list,
+    "tuple[str, ...]": _str_list,
+}
+
+
+def _from_config(cfg: dict[str, str], cls, **given):
+    """A `cls` dataclass from config text, each value read as its field's type.
+
+    `given` values take precedence over the config's; the dataclass supplies
+    every value that neither names.
+    """
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
     unknown = [key for key in cfg if key not in names]
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
+    for f in fields:
+        if f.name in given:
+            continue
+        if f.name in cfg:
+            given[f.name] = _READERS[f.type](cfg[f.name], f"config key {f.name!r}")
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing config key {f.name!r}")
+    return cls(**given)
 
 
 def _synth_config(cfg: dict[str, str], seed_override: int | None) -> ds.SynthConfig:
-    _check_keys(cfg, ds.SynthConfig)
-    sizes = None
-    if "value_set_sizes" in cfg:
-        sizes = _int_list(cfg["value_set_sizes"], "config key 'value_set_sizes'")
-    return ds.SynthConfig(
-        num_users=_cfg_int(cfg, "num_users"),
-        num_resources=_cfg_int(cfg, "num_resources"),
-        num_user_meta=_cfg_int(cfg, "num_user_meta"),
-        num_res_meta=_cfg_int(cfg, "num_res_meta"),
-        num_rules=_cfg_int(cfg, "num_rules"),
-        num_ops=_cfg_int(cfg, "num_ops", 4),
-        value_set_sizes=sizes,
-        visible_user_meta=_cfg_int(cfg, "visible_user_meta", 8),
-        visible_res_meta=_cfg_int(cfg, "visible_res_meta", 8),
-        constraint_prob=_cfg_float(cfg, "constraint_prob", 0.5),
-        seed=seed_override if seed_override is not None else _cfg_int(cfg, "seed", 0),
-        neg_ratio=_cfg_float(cfg, "neg_ratio", 0.3),
-        value_distribution=cfg.get("value_distribution", "uniform"),
-    )
+    seed = {} if seed_override is None else {"seed": seed_override}
+    return _from_config(cfg, ds.SynthConfig, **seed)
 
 
 def _load_dataset(path: str) -> ds.Dataset:
@@ -133,17 +127,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    cfg = read_config(args.config)
-    _check_keys(cfg, ds.CsvSchema)
-    for key in ("user_meta_cols", "resource_id_col", "label_cols"):
-        if key not in cfg:
-            raise ConfigError(f"missing config key {key!r}")
-    schema = ds.CsvSchema(
-        user_meta_cols=_str_list(cfg["user_meta_cols"]),
-        resource_id_col=cfg["resource_id_col"],
-        label_cols=_str_list(cfg["label_cols"]),
-        res_meta_cols=_str_list(cfg.get("res_meta_cols", "")),
-    )
+    schema = _from_config(read_config(args.config), ds.CsvSchema)
     dataset = ds.ingest_csv(Path(args.csv).read_text(), schema)
     _write(args.out, ds.serialize_dataset(dataset))
     return 0
@@ -311,14 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scheme", choices=enc.SCHEMES, default="onehot")
-    p.add_argument("--hidden", default="256,128,64,32")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--weights", default="1,1", help="class weights wg,wd")
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    defaults = nn.TrainConfig
+    p.add_argument("--hidden", default=",".join(map(str, nn.NetworkConfig.hidden_layers)))
+    p.add_argument("--seed", type=int, default=defaults.shuffle_seed)
+    p.add_argument("--lr", type=float, default=defaults.lr0)
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    p.add_argument("--patience", type=int, default=defaults.early_stop_patience)
+    p.add_argument("--weights", default=",".join(map(str, defaults.class_weights)),
+                   help="class weights wg,wd")
+    p.add_argument("--val-fraction", type=float, default=defaults.val_fraction)
     p.add_argument("--visible-user", type=int, default=None)
     p.add_argument("--visible-res", type=int, default=None)
     p.set_defaults(func=_cmd_train)

@@ -141,6 +141,7 @@ class Dataset:
 
     def __init__(self, num_user_meta: int, num_res_meta: int, num_ops: int, tuples):
         ids, meta, ops = (array.array("q") for _ in range(3))  # int64: a float or larger int raises
+        seen = set()
         for t in tuples:
             if (len(t.umeta), len(t.rmeta), len(t.ops)) != (num_user_meta, num_res_meta, num_ops):
                 raise FormatError(f"tuple ({t.uid}, {t.rid}) is inconsistent with the header")
@@ -154,6 +155,9 @@ class Dataset:
                 raise FormatError(f"tuple ({t.uid}, {t.rid}) holds a non-integer value") from None
             except OverflowError:
                 raise FormatError(f"tuple ({t.uid}, {t.rid}) holds a value outside int64") from None
+            if (t.uid, t.rid) in seen:
+                raise FormatError(f"duplicate (uid, rid) pair ({t.uid}, {t.rid})")
+            seen.add((t.uid, t.rid))
         ids = np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
         columns = Dataset._of(num_user_meta, num_res_meta, num_ops, ids, meta, ops)
         self.__dict__.update(vars(columns))

@@ -138,6 +138,8 @@ def fit_tree(
         raise ConfigError("features must be a non-empty 2-D matrix")
     if y.shape != (X.shape[0],):
         raise ConfigError("targets must align with feature rows")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ConfigError("features and targets must be finite")
     if min_samples_leaf < 1:
         raise ConfigError("min_samples_leaf must be >= 1")
     if max_depth is not None and max_depth < 0:
@@ -301,6 +303,8 @@ def load_tree(text: str) -> DistilledTree:
         mse = float(fields["mse"])
     except (KeyError, ValueError):
         raise FormatError("bad tree header fields") from None
+    if not np.isfinite(mse):
+        raise FormatError("non-finite mse at tree line 1")
     if len(lines) < 3 or not lines[1].startswith("features "):
         raise FormatError("missing tree feature names")
     names = tuple(lines[1].split()[1:])
@@ -338,4 +342,9 @@ def load_tree(text: str) -> DistilledTree:
         nodes.append(node)
     if slots:
         raise FormatError("truncated tree file")
-    return DistilledTree(*_node_arrays(nodes), op_index, max_depth, min_leaf, mse, names)
+    arrays = _node_arrays(nodes)
+    feature, threshold, _, value, _ = arrays
+    bad = np.flatnonzero(~np.isfinite(np.where(feature < 0, value, threshold)))
+    if bad.size:  # node k is on non-blank line k + 3
+        raise FormatError(f"bad number at tree line {bad[0] + 3}")
+    return DistilledTree(*arrays, op_index, max_depth, min_leaf, mse, names)

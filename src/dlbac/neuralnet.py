@@ -137,18 +137,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_cache(net: Network, X: np.ndarray):
-    """Returns (activations, pre_activations); activations[0] is the input."""
-    acts = [X]
-    zs = []
-    a = X
-    n_layers = len(net.weights)
-    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ W + b
-        zs.append(z)
-        a = _sigmoid(z) if l == n_layers - 1 else np.maximum(z, 0.0)
-        acts.append(a)
-    return acts, zs
+def _layers(net: Network, z0: np.ndarray) -> list[np.ndarray]:
+    """Pre-activations of layers 0..L, given layer 0's: the one walk through layers 1..L."""
+    zs = [z0]
+    for W, b in zip(net.weights[1:], net.biases[1:]):
+        zs.append(np.maximum(zs[-1], 0.0) @ W + b)
+    return zs
 
 
 def _rows(net: Network, x) -> tuple[np.ndarray, bool]:
@@ -168,8 +162,7 @@ def _rows(net: Network, x) -> tuple[np.ndarray, bool]:
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Grant probabilities, one per operation. Accepts a vector or a matrix."""
     X, single = _rows(net, x)
-    acts, _ = _forward_cache(net, X)
-    probs = acts[-1]
+    probs = _sigmoid(_layers(net, X @ net.weights[0] + net.biases[0])[-1])
     return probs[0] if single else probs
 
 
@@ -190,8 +183,8 @@ def loss(
 def _loss_grads(net: Network, X: np.ndarray, Y: np.ndarray, class_weights):
     """Gradient of loss(forward(X), Y) w.r.t. every parameter, as a Network; also the loss."""
     wg, wd = class_weights
-    acts, zs = _forward_cache(net, X)
-    probs = acts[-1]
+    zs = _layers(net, X @ net.weights[0] + net.biases[0])
+    probs = _sigmoid(zs[-1])
     total_loss = loss(probs, Y, class_weights)
 
     p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
@@ -201,7 +194,8 @@ def _loss_grads(net: Network, X: np.ndarray, Y: np.ndarray, class_weights):
 
     grad = Network(net.config, np.empty_like(net.flat))
     for l in range(len(net.weights) - 1, -1, -1):
-        np.matmul(acts[l].T, delta, out=grad.weights[l])
+        a = np.maximum(zs[l - 1], 0.0) if l > 0 else X  # layer l's input
+        np.matmul(a.T, delta, out=grad.weights[l])
         np.sum(delta, axis=0, out=grad.biases[l])
         if l > 0:
             delta = (delta @ net.weights[l].T) * (zs[l - 1] > 0.0)
@@ -218,24 +212,15 @@ def backward(
 
     Returns (grads_weights, grads_biases) shaped like the network parameters.
     """
-    x = np.asarray(x, dtype=np.float64)
+    X, single = _rows(net, x)
     labels = np.asarray(labels, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-        labels = labels[None, :]
-    grad, _ = _loss_grads(net, x, labels, class_weights)
+    grad, _ = _loss_grads(net, X, labels[None, :] if single else labels, class_weights)
     return grad.weights, grad.biases
 
 
 def _dprob_dz0(net: Network, z0: np.ndarray, op_index: int) -> np.ndarray:
-    """d(probability of op)/d(layer-0 pre-activation), one row per row of `z0`.
-
-    Runs layers 1..L forward from `z0`, then backprop down to layer 0, with
-    the same operations as `_forward_cache`.
-    """
-    zs = [z0]
-    for W, b in zip(net.weights[1:], net.biases[1:]):
-        zs.append(np.maximum(zs[-1], 0.0) @ W + b)
+    """d(probability of op)/d(layer-0 pre-activation), one row per row of `z0`."""
+    zs = _layers(net, z0)
     probs = _sigmoid(zs[-1])
     delta = np.zeros_like(probs)
     delta[:, op_index] = probs[:, op_index] * (1.0 - probs[:, op_index])
@@ -371,6 +356,8 @@ _HEADER = "dlbac-model v1"
 
 def save_model(net: Network) -> str:
     """Text serialization with exact hexadecimal float literals."""
+    if not np.isfinite(net.flat).all():
+        raise ConfigError("model parameters must be finite")
     lines = [_HEADER, "widths " + " ".join(str(w) for w in net.config.widths)]
     for l, (W, b) in enumerate(zip(net.weights, net.biases)):
         lines.append(f"layer {l} weight {W.shape[0]} {W.shape[1]}")
@@ -424,6 +411,10 @@ def load_model(text: str) -> Network:
             raise FormatError("truncated bias vector")
         b[:] = _hex_floats(lines[i], cols, i)
         i += 1
+    if not np.isfinite(net.flat).all():  # one pass over the buffer; the line only on failure
+        bad = next(j for j in range(2, i) if not lines[j].lstrip().startswith("layer")
+                   and not np.isfinite([float.fromhex(t) for t in lines[j].split()]).all())
+        raise FormatError(f"line {bad + 1}: non-finite value")
     return net
 
 

@@ -87,7 +87,27 @@ class TestSynth:
         cfg.write_text("num_users = 5\n")
         rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == "error: missing config key 'num_resources'\n"
+
+    @pytest.mark.parametrize(
+        "old, new, err",
+        [("neg_ratio = 1.0", "neg_ratio = x", "config key 'neg_ratio': expected float, got 'x'"),
+         ("6 6 6 6 6 6 6 6", "6 6 y", "config key 'value_set_sizes': expected int, got 'y'"),
+         ("seed = 12", "seed = 1.5", "config key 'seed': expected int, got '1.5'")],
+    )
+    def test_bad_value_names_key_and_type(self, tmp_path, capsys, old, new, err):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SYNTH_CFG.replace(old, new))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_unset_keys_take_the_dataclass_defaults(self, tmp_path):
+        given = dict(num_users=60, num_resources=60, num_user_meta=8, num_res_meta=8, num_rules=3)
+        cfg, out = tmp_path / "min.cfg", tmp_path / "min.txt"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in given.items()))
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        expected = d.synthesize(d.SynthConfig(**given))[0]
+        assert out.read_text() == d.serialize_dataset(expected)
 
     def test_non_integer_value_is_single_line_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -151,6 +171,12 @@ class TestIngest:
         assert self.run(tmp_path, "dept,level,RESOURCE,ACTION\n3,1,900,1\n") == 1
         assert capsys.readouterr().err == "error: unknown config key 'res_meta_col'\n"
         assert not (tmp_path / "out.txt").exists()
+
+    def test_missing_config_key_is_named(self, tmp_path, capsys, monkeypatch):
+        schema = "user_meta_cols = dept\nresource_id_col = RESOURCE\n"
+        monkeypatch.setattr(self, "SCHEMA_CFG", schema)
+        assert self.run(tmp_path, "dept,RESOURCE,ACTION\n3,900,1\n") == 1
+        assert capsys.readouterr().err == "error: missing config key 'label_cols'\n"
 
 
 class TestTrain:

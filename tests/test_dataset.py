@@ -240,7 +240,9 @@ class TestGenerateTuples:
         [dict(), dict(seed=3, constraint_prob=1.0), dict(seed=5, constraint_prob=0.0),
          dict(seed=8, constraint_prob=1.0, value_distribution="zipf", neg_ratio=1.2),
          dict(seed=12, num_user_meta=3, num_res_meta=2, value_set_sizes=(6,) * 5,
-              visible_user_meta=3, visible_res_meta=2, constraint_prob=1.0, num_rules=6)],
+              visible_user_meta=3, visible_res_meta=2, constraint_prob=1.0, num_rules=6),
+         # from 63 ops the bitmasks are Python ints: these grant ops 62 and 69
+         dict(num_ops=63), dict(seed=4, num_ops=70)],
     )
     def test_positives_equal_the_pairwise_oracle(self, overrides):
         cfg = small_config(**overrides)
@@ -657,6 +659,13 @@ class TestColumns:
         t = d.AuthorizationTuple(4, 5, (1,), (2,), ops)
         with pytest.raises(FormatError, match=r"tuple \(4, 5\)"):
             d.Dataset(1, 1, 1, (t,))
+
+    def test_repeated_pair_rejected(self):
+        # parse_dataset rejects the same text, so no file could hold such a dataset
+        t = d.AuthorizationTuple(1, 2, (3,), (4,), (1,))
+        other = d.AuthorizationTuple(1, 3, (3,), (4,), (0,))
+        with pytest.raises(FormatError, match=r"duplicate \(uid, rid\) pair \(1, 2\)$"):
+            d.Dataset(1, 1, 1, [t, other, t])
 
 
 def _assert_view_round_trips(x):

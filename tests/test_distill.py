@@ -94,6 +94,14 @@ class TestGrow:
         with pytest.raises(ConfigError, match="max_depth"):
             d.fit_tree(X, np.arange(8.0), max_depth=max_depth)
 
+    @pytest.mark.parametrize("target", ["features", "targets"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, target, value):
+        X, y = np.arange(8, dtype=float)[:, None], np.arange(8.0)
+        (X[:, 0] if target == "features" else y)[3] = value
+        with pytest.raises(ConfigError, match="must be finite"):
+            d.fit_tree(X, y)
+
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(2)
         X = rng.integers(0, 20, size=(100, 2)).astype(float)
@@ -297,6 +305,19 @@ class TestPersistence:
         )
         with pytest.raises(FormatError, match="tree line"):
             d.load_tree(text)
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [("mse=0.0", "mse=nan", 1), ("<= 0.5", "<= nan", 3), ("<= 0.5", "<= -inf", 3),
+         ("leaf 0.1 1", "leaf nan 2", 4), ("leaf 0.9 1", "leaf inf 1", 5)],
+    )
+    def test_non_finite_number_rejected_with_its_line(self, old, new, line):
+        text = (
+            "dlbac-tree v1 op=0 max_depth=1 min_samples_leaf=1 mse=0.0\n"
+            "features umeta0\nnode umeta0 <= 0.5\n leaf 0.1 1\n leaf 0.9 1\n"
+        )
+        with pytest.raises(FormatError, match=f"tree line {line}$"):
+            d.load_tree(text.replace(old, new))
 
 
 def chain_tree_text(levels):

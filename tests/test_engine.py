@@ -94,13 +94,13 @@ def _store_oracle(dataset):
 
 @st.composite
 def store_datasets(draw):
-    """Few ids and values, so repeated ids and conflicts are common."""
+    """Few ids and values, so repeated ids and conflicts are common; pairs are distinct."""
     nu, nr = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     value = st.integers(-2, 2)
     rows = draw(st.lists(st.tuples(
         st.integers(-3, 3), st.integers(-3, 3),
         st.lists(value, min_size=nu, max_size=nu), st.lists(value, min_size=nr, max_size=nr),
-    ), max_size=12))
+    ), max_size=12, unique_by=lambda row: row[:2]))
     tuples = [d.AuthorizationTuple(u, r, tuple(um), tuple(rm), (1,)) for u, r, um, rm in rows]
     return d.Dataset(nu, nr, 1, tuples)
 
@@ -129,8 +129,8 @@ def test_store_matches_the_per_tuple_oracle(dset):
 @pytest.mark.parametrize(
     "tuples, message",
     [
-        # the second tuple conflicts on both sides: the user is named
-        (((1, 2, 5, 6), (1, 2, 7, 8)), "user 1: (5,) vs (7,)"),
+        # the third tuple conflicts on both sides: the user is named
+        (((1, 2, 5, 6), (3, 4, 0, 8), (1, 4, 7, 9)), "user 1: (5,) vs (7,)"),
         # the resource conflict comes a tuple before the user's
         (((1, 2, 5, 6), (3, 2, 0, 9), (1, 4, 7, 0)), "resource 2: (6,) vs (9,)"),
     ],

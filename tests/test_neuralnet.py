@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import dlbac as d
 import dlbac.neuralnet as nn
 from dlbac.errors import ConfigError, FormatError
+from dlbac.interpret import IG_CHUNK_ROWS
 from dlbac.neuralnet import EarlyStopper, _sigmoid
 from dlbac.rng import SplitMix64
 
@@ -174,6 +176,14 @@ class TestBackward:
         gw, gb = d.backward(net, np.ones(3), np.array([1.0, 0.0]))
         assert gw[0].shape == net.weights[0].shape
         assert gb[-1].shape == net.biases[-1].shape
+
+    @pytest.mark.parametrize(
+        "x", [np.zeros(4), np.zeros((2, 2, 3)), np.array([0.0, np.nan, 0.0])],
+        ids=["wide-vector", "3-d", "nan"],
+    )
+    def test_bad_input_rejected(self, x):
+        with pytest.raises(ConfigError):
+            d.backward(tiny_net(), x, np.zeros(2))
 
 
 class TestInputGradient:
@@ -439,6 +449,29 @@ def test_train_with_oracle_adam_writes_the_same_model(monkeypatch):
     assert d.save_model(got) == d.save_model(expected)
 
 
+def _sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_short_training_and_its_network_outputs_are_pinned():
+    # Pins taken before training, forward and the gradient paths shared one
+    # layer walk. The finite-difference and per-step IG oracles go through
+    # the same walk, so they cannot see a drift that it introduces.
+    dset = trainable_dataset()
+    enc = d.build_encoder(dset)
+    cfg = d.NetworkConfig(enc.width, dset.num_ops, (16, 8, 4), init_seed=4)
+    tc = d.TrainConfig(epochs=3, early_stop_patience=5)
+    net, _ = d.train(d.init_network(cfg), dset, enc, tc)
+    assert _sha16(d.save_model(net).encode()) == "21739ee9f625f134"
+    X = d.encode_dataset(enc, dset)
+    outputs = [d.forward(net, X), d.forward(net, X[0])]
+    for op in range(dset.num_ops):
+        outputs += [d.input_gradient(net, X, op), d.input_gradient(net, X[0], op)]
+        outputs.append(d.integrated_gradients(net, X, np.zeros_like(X), op, steps=32))
+    assert X.shape[0] * 32 > IG_CHUNK_ROWS  # the IG pass spans several batches
+    assert _sha16(b"".join(o.tobytes() for o in outputs)) == "6ac3c1fe97c9f4b8"
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize(
         "field, value",
@@ -531,6 +564,23 @@ class TestPersistence:
         text = d.save_model(tiny_net()).replace("0x1.", "0y1.", 1)
         with pytest.raises(FormatError):
             d.load_model(text)
+
+    # widths 3 4 2: line 5 is the second weight row of layer 0, line 15 the last bias line
+    @pytest.mark.parametrize("at", [5, 15])
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_with_its_line(self, at, literal):
+        lines = d.save_model(tiny_net()).splitlines()
+        row = lines[at - 1].split()
+        row[1] = literal
+        lines[at - 1] = " ".join(row)
+        with pytest.raises(FormatError, match=f"^line {at}: non-finite value$"):
+            d.load_model("\n".join(lines) + "\n")
+
+    def test_save_rejects_non_finite_parameter(self):
+        net = tiny_net()
+        net.biases[1][0] = np.inf
+        with pytest.raises(ConfigError, match="finite"):
+            d.save_model(net)
 
 
 SMALL_MODEL_TEXT = d.save_model(tiny_net(input_width=3, num_ops=2, hidden=(2,), seed=5))
