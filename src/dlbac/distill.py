@@ -290,7 +290,8 @@ def save_tree(tree: DistilledTree) -> str:
 
 
 def load_tree(text: str) -> DistilledTree:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    numbered = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    line_no, lines = [k for k, _ in numbered], [ln for _, ln in numbered]  # blank lines skipped
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
         raise FormatError("bad tree header")
     fields = dict(
@@ -304,7 +305,7 @@ def load_tree(text: str) -> DistilledTree:
     except (KeyError, ValueError):
         raise FormatError("bad tree header fields") from None
     if not np.isfinite(mse):
-        raise FormatError("non-finite mse at tree line 1")
+        raise FormatError(f"non-finite mse at tree line {line_no[0]}")
     if len(lines) < 3 or not lines[1].startswith("features "):
         raise FormatError("missing tree feature names")
     names = tuple(lines[1].split()[1:])
@@ -314,7 +315,7 @@ def load_tree(text: str) -> DistilledTree:
 
     nodes: list[list] = []
     slots = [(None, 0)]  # (node whose right child comes here, depth) per pending node
-    for pos, line in enumerate(lines[2:], start=3):  # pos: 1-based line number
+    for pos, line in zip(line_no[2:], lines[2:]):
         if not slots:
             raise FormatError("trailing content after tree")
         parent, depth = slots.pop()
@@ -345,6 +346,6 @@ def load_tree(text: str) -> DistilledTree:
     arrays = _node_arrays(nodes)
     feature, threshold, _, value, _ = arrays
     bad = np.flatnonzero(~np.isfinite(np.where(feature < 0, value, threshold)))
-    if bad.size:  # node k is on non-blank line k + 3
-        raise FormatError(f"bad number at tree line {bad[0] + 3}")
+    if bad.size:  # node k is on lines[k + 2]
+        raise FormatError(f"bad number at tree line {line_no[bad[0] + 2]}")
     return DistilledTree(*arrays, op_index, max_depth, min_leaf, mse, names)

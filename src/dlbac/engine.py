@@ -6,7 +6,16 @@ The wire protocol is newline-delimited ASCII over TCP: `DECIDE <uid> <rid>
 Only ASCII whitespace separates fields or pads a line.  Every input line
 yields exactly one reply line and request errors never terminate the
 server.  A line longer than `MAX_LINE` bytes before its newline answers
-`ERR line too long`, and the server then closes that connection.
+`ERR line too long`, and the server then closes that connection.  At EOF a
+last line without a newline is still answered.
+
+Each connection is one loop over `recv`: it answers every complete line it
+has received, in order, and sends those replies with one `sendall`, on a
+socket with `TCP_NODELAY` set, so pipelined requests cost one send per
+batch rather than one per line.  Each decision is one `forward` on one
+row, so a reply never depends on the lines that shared its batch.  At
+most `MAX_CONNECTIONS` connections are served at once; one more is answered
+`ERR server busy` and closed.
 
 A pair's metadata is one row of positions, user positions first.  A store
 encodes each user's positions (from position 0) and each resource's (from
@@ -18,6 +27,7 @@ row lookups and one concatenation, and a decision is that plus `forward`.
 from __future__ import annotations
 
 import re
+import socket
 import socketserver
 import string
 import threading
@@ -31,6 +41,8 @@ from .errors import ConfigError, ConflictError, NotFoundError
 from .neuralnet import Network, forward
 
 MAX_LINE = 1024  # bytes in one request line, not counting its newline
+MAX_CONNECTIONS = 64  # connections served at once; one more is told `ERR server busy`
+RECV_BYTES = 65536  # bytes asked of one `recv`
 
 
 @dataclass(frozen=True)
@@ -161,25 +173,42 @@ def handle_line(
         return f"ERR {exc}"
 
 
-class _Handler(socketserver.StreamRequestHandler):
+class _Handler(socketserver.BaseRequestHandler):
+    """Answers every complete line that one `recv` brings, in order, with one `sendall`."""
+
     def handle(self):
-        srv = self.server
-        while raw := self.rfile.readline(MAX_LINE + 1):
-            if len(raw) > MAX_LINE and not raw.endswith(b"\n"):
-                self.wfile.write(b"ERR line too long\n")
+        srv, sock = self.server, self.request
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        tail = b""
+        while True:
+            data = sock.recv(RECV_BYTES)
+            *lines, tail = (tail + data).split(b"\n")
+            if not data and tail:  # EOF: the last line needs no newline
+                lines.append(tail)
+                tail = b""
+            replies = []
+            for raw in lines:
+                if len(raw) > MAX_LINE:
+                    break
+                replies.append(handle_line(
+                    raw.decode("utf-8", errors="replace"),
+                    srv.net,
+                    srv.encoder,
+                    srv.store,
+                    srv.threshold,
+                ))
+            too_long = len(replies) < len(lines) or len(tail) > MAX_LINE
+            if too_long:
+                replies.append("ERR line too long")
+            if replies:
+                sock.sendall("".join(r + "\n" for r in replies).encode("utf-8"))
+            if too_long or not data:
                 return
-            reply = handle_line(
-                raw.decode("utf-8", errors="replace"),
-                srv.net,
-                srv.encoder,
-                srv.store,
-                srv.threshold,
-            )
-            self.wfile.write((reply + "\n").encode("utf-8"))
-            self.wfile.flush()
 
 
 class DecisionServer(socketserver.ThreadingTCPServer):
+    """One thread per connection, at most `MAX_CONNECTIONS` at a time."""
+
     allow_reuse_address = True
     daemon_threads = True
 
@@ -189,6 +218,27 @@ class DecisionServer(socketserver.ThreadingTCPServer):
         self.encoder = encoder
         self.store = store
         self.threshold = threshold
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address):
+        if not self._slots.acquire(blocking=False):
+            try:
+                request.sendall(b"ERR server busy\n")
+            except OSError:
+                pass
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no thread started, so none will release the slot
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
 
 def serve(

@@ -129,12 +129,9 @@ def init_network(config: NetworkConfig) -> Network:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _layers(net: Network, z0: np.ndarray) -> list[np.ndarray]:
@@ -160,10 +157,20 @@ def _rows(net: Network, x) -> tuple[np.ndarray, bool]:
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """Grant probabilities, one per operation. Accepts a vector or a matrix."""
+    """Grant probabilities, one per operation. Accepts a vector or a matrix.
+
+    A vector's layer 0 reads only the rows of W0 that its non-zero inputs
+    select, so its last bits may differ from the same row inside a matrix,
+    whose layer 0 is one gemm.
+    """
     X, single = _rows(net, x)
-    probs = _sigmoid(_layers(net, X @ net.weights[0] + net.biases[0])[-1])
-    return probs[0] if single else probs
+    W0, b0 = net.weights[0], net.biases[0]
+    if single:
+        idx = np.flatnonzero(X[0])
+        z0 = X[0, idx] @ W0[idx] + b0
+    else:
+        z0 = X @ W0 + b0
+    return _sigmoid(_layers(net, z0)[-1])
 
 
 def loss(

@@ -319,6 +319,20 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"tree line {line}$"):
             d.load_tree(text.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(" leaf x 1", "bad number at tree line 6$"),
+         (" leaf inf 1", "bad number at tree line 6$"),
+         ("  leaf 0.1 1", "bad indentation at tree line 6$")],
+    )
+    def test_errors_name_the_file_line_after_blank_lines(self, bad, message):
+        text = (
+            "dlbac-tree v1 op=0 max_depth=1 min_samples_leaf=1 mse=0.0\n"
+            f"features umeta0\nnode umeta0 <= 0.5\n\n\n{bad}\n leaf 0.9 1\n"
+        )
+        with pytest.raises(FormatError, match=message):
+            d.load_tree(text)
+
 
 def chain_tree_text(levels):
     """A valid tree file whose node k tests umeta0 <= k + 0.5, right child deepest."""

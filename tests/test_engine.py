@@ -2,6 +2,7 @@ import re
 import socket
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -403,3 +404,120 @@ class TestServer:
         finally:
             server.shutdown()
             server.server_close()
+
+
+@pytest.fixture(scope="module")
+def server(setup):
+    net, enc, store, _ = setup
+    srv = d.serve(net, enc, store, host="127.0.0.1", port=0)
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+def _exchange(address, chunks, n_replies, pause=0.0):
+    """Send each chunk with its own `sendall`, then read `n_replies` lines."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        f = sock.makefile("rb")
+        for chunk in chunks:
+            sock.sendall(chunk)
+            time.sleep(pause)  # lets the server's recv end between chunks
+        return [f.readline() for _ in range(n_replies)]
+
+
+def _closed_loop(address, lines):
+    """One line per send, the next only after its reply: one line per batch."""
+    with socket.create_connection(address, timeout=10) as sock:
+        f = sock.makefile("rb")
+        replies = []
+        for line in lines:
+            sock.sendall(line + b"\n")
+            replies.append(f.readline())
+        return replies
+
+
+@st.composite
+def request_lines(draw, uids, rids):
+    known = st.builds(lambda u, r, op: f"DECIDE {u} {r} {op}".encode(),
+                      st.sampled_from(uids), st.sampled_from(rids), st.integers(-1, 2))
+    unknown = st.builds(lambda r: f"DECIDE 999999 {r} 0".encode(), st.sampled_from(rids))
+    other = st.sampled_from([b"PING", b"", b"  PING\r", b"garbage", b"DECIDE 1", b"ping"])
+    raw = st.binary(max_size=24).map(lambda b: b.replace(b"\n", b""))  # non-UTF-8 too
+    return draw(st.lists(st.one_of(known, unknown, other, raw), min_size=1, max_size=24))
+
+
+class TestBatchedConnection:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_replies_do_not_depend_on_how_lines_are_batched(self, setup, server, data):
+        net, enc, store, _ = setup
+        lines = data.draw(request_lines(store.user_ids, store.resource_ids))
+        wire = b"".join(line + b"\n" for line in lines)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(wire)), max_size=8)))
+        chunks = [wire[a:b] for a, b in zip([0, *cuts], [*cuts, len(wire)])]
+        want = [(handle_line(line.decode("utf-8", errors="replace"), net, enc, store, 0.5)
+                 + "\n").encode() for line in lines]
+        address = server.server_address
+        assert _closed_loop(address, lines) == want
+        assert _exchange(address, [wire], len(lines)) == want
+        assert _exchange(address, chunks, len(lines), pause=0.001) == want
+
+    def test_last_line_without_newline_is_answered_at_eof(self, server):
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            sock.sendall(b"PING\nPI")
+            sock.sendall(b"NG")
+            sock.shutdown(socket.SHUT_WR)
+            f = sock.makefile("rb")
+            assert f.read() == b"PONG\nPONG\n"
+
+    def test_overlong_tail_split_across_sends_answers_err_and_closes(self, server, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_LINE", 16)
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            f = sock.makefile("rb")
+            sock.sendall(b"PING\n" + b"x" * 10)
+            assert f.readline() == b"PONG\n"  # the tail's 10 bytes are held
+            sock.sendall(b"x" * 7)  # 17 bytes, still no newline
+            assert f.readline() == b"ERR line too long\n"
+            assert f.readline() == b""
+
+    def test_overlong_line_inside_a_batch_ends_it(self, server, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_LINE", 16)
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            sock.sendall(b"PING\n" + b"x" * 17 + b"\nPING\n")
+            f = sock.makefile("rb")
+            assert f.read() == b"PONG\nERR line too long\n"
+
+
+def test_connections_over_the_cap_are_told_busy(setup, monkeypatch):
+    net, enc, store, _ = setup
+    monkeypatch.setattr(engine, "MAX_CONNECTIONS", 2)
+    server = d.serve(net, enc, store, host="127.0.0.1", port=0)
+    address = server.server_address
+
+    def ping(sock):
+        try:
+            sock.sendall(b"PING\n")
+            return sock.makefile("rb").readline()
+        except ConnectionResetError:  # a busy server may close before reading the PING
+            return b"reset"
+
+    try:
+        a = socket.create_connection(address, timeout=5)
+        b = socket.create_connection(address, timeout=5)
+        with a, b:
+            assert ping(a) == ping(b) == b"PONG\n"
+            with socket.create_connection(address, timeout=5) as c:
+                assert c.makefile("rb").read() == b"ERR server busy\n"
+            a.close()  # its slot is free once the server's thread for it ends
+            deadline = time.monotonic() + 10
+            replies = []
+            while b"PONG\n" not in replies and time.monotonic() < deadline:
+                with socket.create_connection(address, timeout=5) as c:
+                    replies.append(ping(c))
+            assert replies[-1] == b"PONG\n"
+            assert set(replies[:-1]) <= {b"ERR server busy\n", b"reset"}
+            assert ping(b) == b"PONG\n"
+    finally:
+        server.shutdown()
+        server.server_close()

@@ -347,7 +347,7 @@ class TestEarlyStopper:
         assert s.update(1.0) is True
 
 
-def trainable_dataset(n_tuples=160, seed=3):
+def trainable_dataset(seed=3):
     cfg = d.SynthConfig(
         num_users=60, num_resources=60, num_user_meta=4, num_res_meta=4,
         num_rules=4, num_ops=2, value_set_sizes=(6,) * 8, seed=seed,
@@ -610,3 +610,56 @@ def test_sigmoid_stable_at_extremes():
     out = _sigmoid(z)
     assert out[0] == 0.0 and out[1] == 1.0
     assert np.all(np.isfinite(out))
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The boolean-mask sigmoid that `_sigmoid` replaced, kept as its oracle."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 4), (7,), (2381, 4), (6400, 4)])
+@pytest.mark.parametrize("scale", [1.0, 40.0, 1e3])
+def test_sigmoid_matches_the_masked_oracle_bit_for_bit(shape, scale):
+    z = np.random.default_rng(shape[0]).normal(scale=scale, size=shape)
+    assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+def test_sigmoid_matches_the_masked_oracle_on_any_float(values):
+    z = np.array(values + [0.0, -0.0, 745.0, -745.0, 1e300, -1e300])
+    assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
+@pytest.fixture(scope="module")
+def trained_rows():
+    dset = trainable_dataset()
+    enc = d.build_encoder(dset)
+    cfg = d.NetworkConfig(enc.width, dset.num_ops, (32, 16), init_seed=5)
+    net, _ = d.train(d.init_network(cfg), dset, enc, d.TrainConfig(epochs=6))
+    return net, d.encode_dataset(enc, dset)
+
+
+class TestOneRowKernel:
+    def test_one_row_agrees_with_its_row_of_a_batch(self, trained_rows):
+        net, X = trained_rows
+        rows = np.array([d.forward(net, x) for x in X])
+        assert np.abs(rows - d.forward(net, X)).max() <= 1e-15
+
+    def test_all_zero_row_is_the_bias_walk(self, trained_rows):
+        net, X = trained_rows
+        want = _sigmoid(nn._layers(net, net.biases[0])[-1])
+        assert d.forward(net, np.zeros(X.shape[1])).tobytes() == want.tobytes()
+
+    def test_any_finite_row_matches_the_dense_product(self, trained_rows):
+        net, X = trained_rows
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            x = rng.normal(scale=3.0, size=X.shape[1]) * (rng.random(X.shape[1]) < 0.4)
+            dense = _sigmoid(nn._layers(net, x @ net.weights[0] + net.biases[0])[-1])
+            assert np.abs(d.forward(net, x) - dense).max() <= 1e-15
