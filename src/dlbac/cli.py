@@ -13,6 +13,8 @@ import functools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import dataset as ds
 from . import encoding as enc
 from . import engine as eng
@@ -233,10 +235,10 @@ def _cmd_explain(args) -> int:
 def _cmd_flip_study(args) -> int:
     net, encoder = _load_model(args)
     data = _load_dataset(args.data)
-    try:
-        i = data.ids.tolist().index([args.donor_uid, args.donor_rid])
-    except ValueError:
-        raise ConfigError(f"donor ({args.donor_uid}, {args.donor_rid}) not in dataset") from None
+    hits = np.flatnonzero((data.ids[:, 0] == args.donor_uid) & (data.ids[:, 1] == args.donor_rid))
+    if not hits.size:
+        raise ConfigError(f"donor ({args.donor_uid}, {args.donor_rid}) not in dataset")
+    i = hits[0]
     meta, ops, nu = data.M[i].tolist(), tuple(data.Y[i].tolist()), data.num_user_meta
     donor = ds.AuthorizationTuple(
         args.donor_uid, args.donor_rid, tuple(meta[:nu]), tuple(meta[nu:]), ops

@@ -25,6 +25,8 @@ import functools
 import io
 import itertools
 import math
+import re
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -454,7 +456,29 @@ def serialize_dataset(dataset: Dataset) -> str:
     return "\n".join([f"{_HEADER_PREFIX} {nu} {nr} {no}"] + [line(*r) for r in rows]) + "\n"
 
 
+_PARSE_TILE_LINES = 1024  # body lines per numpy pass: temporaries of a few hundred KB
+_TOKEN = re.compile(r"[+-]?[0-9]+")
+_SPACED = re.compile(r"[^ \t]+")  # what separators delimit, to be matched against _TOKEN
+_TOKEN_BYTE, _BLANK, _BAR, _EOL = 1, 2, 3, 4  # classes of the bytes a body may hold
+_CLASS_OF = {
+    **dict.fromkeys(b"+-0123456789", _TOKEN_BYTE), **dict.fromkeys(b" \t", _BLANK),
+    ord("|"): _BAR, ord("\n"): _EOL,
+}
+_BYTE_CLASS = bytes(_CLASS_OF.get(b, 0) for b in range(256))  # a `bytes.translate` table
+_LINE_MARKS = np.array([_BAR, _BAR, _BAR, _EOL], dtype=np.uint8)
+
+
 def parse_dataset(text: str) -> Dataset:
+    """Parse the text form: a header line, then one line per tuple.
+
+    A body line is `<uid> <rid> | <user metadata> | <resource metadata> |
+    <operation bits>`.  A token is an optional sign followed by ASCII digits
+    and must fit int64; tokens are separated by spaces or tabs.  Blank lines
+    are skipped.  The body is read in tiles of `_PARSE_TILE_LINES` lines,
+    each checked with one pass over its bytes and converted with one
+    `np.loadtxt`; a file that fails a check is read again one line at a
+    time, to name its first bad line.
+    """
     lines = text.splitlines()
     header_line = next((n for n, line in enumerate(lines, start=1) if line.strip()), 0)
     if not header_line:
@@ -471,41 +495,83 @@ def parse_dataset(text: str) -> Dataset:
         raise FormatError(f"line {header_line}: header counts must lie in [0, {_MAX_COUNT}]")
     num_user_meta, num_res_meta, num_ops = counts
 
-    flat = array.array("q")  # every row back to back; int64, so it rejects larger values
+    body = [line for line in lines[header_line:] if line.strip()]
+    widths, row_width = np.array((2, *counts)), 2 + sum(counts)  # tokens per section, per line
+    if len(body) * row_width > len(text):  # each value takes a token and a separator
+        raise _first_error(lines, header_line, counts)  # before allocating for the header's widths
+    rows = np.empty((len(body), row_width), dtype=np.int64)
+    for at in range(0, len(body), _PARSE_TILE_LINES):
+        tile = "\n".join(body[at : at + _PARSE_TILE_LINES]) + "\n"
+        if not _tile_follows_grammar(tile, widths):
+            raise _first_error(lines, header_line, counts)
+        try:
+            with warnings.catch_warnings():
+                # numpy 1.x reads an integer outside int64 through a float,
+                # with a DeprecationWarning; as an error it fails the tile
+                warnings.simplefilter("error", DeprecationWarning)
+                rows[at : at + _PARSE_TILE_LINES] = np.loadtxt(
+                    tile.replace("|", " ").splitlines(), dtype=np.int64, comments=None, ndmin=2
+                )
+        except (ValueError, DeprecationWarning):  # a value outside int64
+            raise _first_error(lines, header_line, counts) from None
+
+    ops = rows[:, rows.shape[1] - num_ops :]
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    pairs = rows[order, :2]
+    if (ops.size and (ops.min() < 0 or ops.max() > 1)) or (pairs[1:] == pairs[:-1]).all(1).any():
+        raise _first_error(lines, header_line, counts)
+    return Dataset._of(*counts, *np.split(rows, [2, 2 + num_user_meta + num_res_meta], axis=1))
+
+
+def _tile_follows_grammar(tile: str, widths: np.ndarray) -> bool:
+    """Whether every '\\n'-ended line of `tile` holds `widths` tokens per section.
+
+    Sections are separated by exactly three '|', tokens by spaces or tabs.
+    """
+    c = np.frombuffer(tile.encode("ascii", "replace").translate(_BYTE_CLASS), dtype=np.uint8)
+    if not c.all():  # class 0: a byte outside the grammar, or '?' for a non-ASCII character
+        return False
+    token = c == _TOKEN_BYTE  # a sign out of place inside a token fails `np.loadtxt`
+    first = token.copy()  # the first byte of each token
+    first[1:] &= ~token[:-1]
+    marks = np.flatnonzero(c >= _BAR)
+    n = len(marks) // 4
+    if len(marks) % 4 or not (c[marks].reshape(n, 4) == _LINE_MARKS).all():
+        return False
+    # tokens before each mark, so tokens per section between consecutive marks
+    before = np.searchsorted(np.flatnonzero(first), marks)
+    return bool((np.diff(before, prepend=0).reshape(n, 4) == widths).all())
+
+
+def _first_error(lines: list[str], header_line: int, counts: tuple[int, int, int]) -> FormatError:
+    """The error of the first bad body line, read one line at a time."""
+    num_user_meta, num_res_meta, num_ops = counts
     seen: set[tuple[int, int]] = set()
     for lineno, line in enumerate(lines[header_line:], start=header_line + 1):
         if not line.strip():
             continue
         sections = line.split("|")
         if len(sections) != 4:
-            raise FormatError(f"line {lineno}: expected 4 '|'-separated sections")
-        ids, umeta, rmeta, ops = map(str.split, sections)
+            return FormatError(f"line {lineno}: expected 4 '|'-separated sections")
+        ids, umeta, rmeta, ops = map(_SPACED.findall, sections)
         tokens = ids + umeta + rmeta + ops
-        try:
-            values = list(map(int, tokens))
-        except ValueError:
-            for tok in tokens:  # the first one `int` rejects
-                try:
-                    int(tok)
-                except ValueError:
-                    raise FormatError(f"line {lineno}: non-integer token {tok!r}") from None
+        bad = next((tok for tok in tokens if not _TOKEN.fullmatch(tok)), None)
+        if bad is not None:
+            return FormatError(f"line {lineno}: non-integer token {bad!r}")
         if len(ids) != 2:
-            raise FormatError(f"line {lineno}: expected '<uid> <rid>'")
+            return FormatError(f"line {lineno}: expected '<uid> <rid>'")
         if len(umeta) != num_user_meta or len(rmeta) != num_res_meta or len(ops) != num_ops:
-            raise FormatError(f"line {lineno}: dimension mismatch with header")
+            return FormatError(f"line {lineno}: dimension mismatch with header")
+        values = [int(tok) for tok in tokens]
         if not {0, 1}.issuperset(values[len(values) - num_ops :]):
-            raise FormatError(f"line {lineno}: operation bits must be 0 or 1")
-        try:
-            flat.fromlist(values)
-        except OverflowError:
-            raise FormatError(f"line {lineno}: value outside the int64 range") from None
+            return FormatError(f"line {lineno}: operation bits must be 0 or 1")
+        if not all(-(2**63) <= v < 2**63 for v in values):
+            return FormatError(f"line {lineno}: value outside the int64 range")
         key = (values[0], values[1])
         if key in seen:
-            raise FormatError(f"line {lineno}: duplicate (uid, rid) pair {key}")
+            return FormatError(f"line {lineno}: duplicate (uid, rid) pair {key}")
         seen.add(key)
-
-    rows = np.frombuffer(flat, dtype=np.int64).reshape(len(seen), 2 + sum(counts))
-    return Dataset._of(*counts, *np.split(rows, [2, 2 + num_user_meta + num_res_meta], axis=1))
+    return FormatError("dataset body failed a check that no line fails")  # not expected
 
 
 # ---------------------------------------------------------------------------

@@ -143,11 +143,7 @@ def global_explain(
 ) -> Attribution:
     """Mean per-tuple normalized attribution over a sample of one label class."""
     net.config.check_op(op)
-    if dataset.num_ops != net.config.num_ops:
-        raise ConfigError(
-            f"dataset operation count {dataset.num_ops} "
-            f"differs from the model's {net.config.num_ops}"
-        )
+    net.config.check_dataset_ops(dataset.num_ops)
     if sample_n < 1:
         raise ConfigError("sample size must be >= 1")
     pool = np.flatnonzero(dataset.Y[:, op] == decision_class)

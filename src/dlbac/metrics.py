@@ -92,6 +92,7 @@ def evaluate(
     net: Network, encoder: Encoder, test: Dataset, threshold: float = 0.5
 ) -> MetricsReport:
     """Score thresholded network predictions against the dataset labels."""
+    net.config.check_dataset_ops(test.num_ops)
     X = encode_dataset(encoder, test)
     probs = forward(net, X)
     preds = (probs > threshold).astype(np.int64)

@@ -39,6 +39,13 @@ class NetworkConfig:
         if not 0 <= op < self.num_ops:
             raise ConfigError(f"operation index {op} out of range")
 
+    def check_dataset_ops(self, num_ops: int) -> None:
+        """ConfigError unless a dataset of `num_ops` operations fits the outputs."""
+        if num_ops != self.num_ops:
+            raise ConfigError(
+                f"dataset operation count {num_ops} differs from the model's {self.num_ops}"
+            )
+
     @property
     def widths(self) -> tuple[int, ...]:
         return (self.input_width, *self.hidden_layers, self.num_ops)
@@ -425,11 +432,11 @@ def load_model(text: str) -> Network:
     return net
 
 
-def _hex_floats(line: str, count: int, i: int) -> list[float]:
+def _hex_floats(line: str, count: int, i: int) -> np.ndarray:
     toks = line.split()
     if len(toks) != count:
         raise FormatError(f"line {i + 1}: expected {count} values")
     try:
-        return [float.fromhex(t) for t in toks]
+        return np.fromiter(map(float.fromhex, toks), np.float64, count)
     except (ValueError, OverflowError):  # not a hex float, or beyond float64
         raise FormatError(f"line {i + 1}: bad float literal") from None

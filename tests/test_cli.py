@@ -270,6 +270,18 @@ class TestEval:
         assert lines[-1].startswith("micro,")
 
 
+    def test_op_count_mismatch_is_single_line_error(self, workdir, tmp_path, capsys):
+        _, data, model_dir = workdir
+        dset = d.parse_dataset(data.read_text())
+        one_op = tmp_path / "one_op.txt"
+        one_op.write_text(d.serialize_dataset(d.Dataset._of(4, 4, 1, dset.ids, dset.M, dset.Y[:, :1])))
+        out = tmp_path / "metrics.csv"
+        rc = main(["eval", "--data", str(one_op), "--model", str(model_dir), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: dataset operation count 1 differs from the model's 2\n"
+        assert not out.exists()
+
+
 class TestDecide:
     def test_prints_single_decision_line(self, workdir, capsys):
         _, data, model_dir = workdir
@@ -410,6 +422,24 @@ class TestFlipStudy:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "step,metadata_replaced,fraction_granted"
         assert lines[1] == "0,,0.000000"
+
+
+    @pytest.mark.parametrize("pick", ["absent uid", "uid and rid of different tuples"])
+    def test_donor_not_in_dataset_is_single_line_error(self, workdir, tmp_path, capsys, pick):
+        _, data, model_dir = workdir
+        ids = d.parse_dataset(data.read_text()).ids
+        pairs = set(map(tuple, ids.tolist()))
+        if pick == "absent uid":
+            uid, rid = 123456789, int(ids[0, 1])
+        else:
+            uid, rid = next((u, r) for u in ids[:, 0].tolist() for r in ids[:, 1].tolist()
+                            if (u, r) not in pairs)
+        out = tmp_path / "curve.csv"
+        rc = main(["flip-study", "--model", str(model_dir), "--data", str(data), "--op", "0",
+                   "--donor-uid", str(uid), "--donor-rid", str(rid), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: donor ({uid}, {rid}) not in dataset\n"
+        assert not out.exists()
 
 
 class TestDistill:

@@ -1,4 +1,8 @@
+import array
 import hashlib
+import random
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -557,6 +561,142 @@ class TestFileFormat:
         assert once == twice
 
 
+_ORACLE_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _oracle_parse(text: str) -> d.Dataset:
+    """The file format read one line at a time, the reference for `parse_dataset`.
+
+    A token is an optional sign followed by ASCII digits; spaces and tabs
+    separate tokens.  Each line is checked in turn, so an error names the
+    first line that breaks a rule.
+    """
+    lines = text.splitlines()
+    header_line = next((n for n, line in enumerate(lines, start=1) if line.strip()), 0)
+    if not header_line:
+        raise FormatError("empty dataset file")
+    header = lines[header_line - 1].strip()
+    parts = header.split()
+    if parts[:2] != ["dlbac-ds", "v1"] or len(parts) != 5:
+        raise FormatError(f"line {header_line}: bad header {header!r}")
+    try:
+        counts = tuple(int(p) for p in parts[2:])
+    except ValueError:
+        raise FormatError(f"line {header_line}: non-integer header field") from None
+    if not all(0 <= c <= 2**31 - 1 for c in counts):
+        raise FormatError(f"line {header_line}: header counts must lie in [0, {2**31 - 1}]")
+    num_user_meta, num_res_meta, num_ops = counts
+
+    flat = array.array("q")
+    seen = set()
+    for lineno, line in enumerate(lines[header_line:], start=header_line + 1):
+        if not line.strip():
+            continue
+        sections = line.split("|")
+        if len(sections) != 4:
+            raise FormatError(f"line {lineno}: expected 4 '|'-separated sections")
+        ids, umeta, rmeta, ops = ([t for t in re.split("[ \t]", s) if t] for s in sections)
+        tokens = ids + umeta + rmeta + ops
+        for tok in tokens:
+            if not _ORACLE_TOKEN.fullmatch(tok):
+                raise FormatError(f"line {lineno}: non-integer token {tok!r}")
+        values = list(map(int, tokens))
+        if len(ids) != 2:
+            raise FormatError(f"line {lineno}: expected '<uid> <rid>'")
+        if len(umeta) != num_user_meta or len(rmeta) != num_res_meta or len(ops) != num_ops:
+            raise FormatError(f"line {lineno}: dimension mismatch with header")
+        if not {0, 1}.issuperset(values[len(values) - num_ops :]):
+            raise FormatError(f"line {lineno}: operation bits must be 0 or 1")
+        try:
+            flat.fromlist(values)
+        except OverflowError:
+            raise FormatError(f"line {lineno}: value outside the int64 range") from None
+        key = (values[0], values[1])
+        if key in seen:
+            raise FormatError(f"line {lineno}: duplicate (uid, rid) pair {key}")
+        seen.add(key)
+
+    rows = np.frombuffer(flat, dtype=np.int64).reshape(len(seen), 2 + sum(counts))
+    return d.Dataset._of(*counts, *np.split(rows, [2, 2 + num_user_meta + num_res_meta], axis=1))
+
+
+def _outcome(parse, text: str):
+    """The dataset `parse` reads from `text`, or the text of the error it raises."""
+    try:
+        return parse(text)
+    except d.DlbacError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+LO, HI = -(2**63), 2**63 - 1
+BLANK_LINES = ["", " ", "\t \t", "\xa0", "\x1f"]  # str.strip() empties each
+
+
+def _valid_text(rng: random.Random, n: int) -> str:
+    """A valid file of n tuples, in no order, with the spacing the grammar allows.
+
+    Blank lines fall at random and on both sides of each 1,024-line tile
+    boundary; line breaks mix LF, CRLF and CR.
+    """
+    nu, nr, no = (rng.randint(0, 3) for _ in range(3))
+    sep = lambda: rng.choice([" ", "  ", "\t", " \t "])
+    def tok(v):
+        text = str(v)
+        return rng.choice([text, text, f"+{text}", f"00{text}"]) if v >= 0 else text
+    value = lambda: rng.choice([0, 1, 19, -3, LO, HI, rng.randint(-10**6, 10**6)])
+    keys = rng.sample(range(10**6), n)
+    pairs = [(k // 1000 - 5, k % 1000) for k in keys]
+    if n:
+        pairs[rng.randrange(n)] = (LO, HI)
+    out = [rng.choice(["", " "]) + f"dlbac-ds v1 {nu} {nr} {no}"]
+    for i, pair in enumerate(pairs):
+        if i % 1024 in (0, 1023) or rng.random() < 0.02:
+            out.append(rng.choice(BLANK_LINES))
+        sections = [pair, [value() for _ in range(nu)], [value() for _ in range(nr)],
+                    [rng.choice([0, 1]) for _ in range(no)]]
+        line = (sep() + "|" + sep()).join(sep().join(map(tok, vals)) for vals in sections)
+        out.append(rng.choice(["", sep()]) + line + rng.choice(["", sep()]))
+    return "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in out)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32))
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+def test_tiled_parse_equals_the_per_line_oracle(n, seed):
+    text = _valid_text(random.Random(seed), n)
+    dset = d.parse_dataset(text)
+    assert len(dset) == n
+    assert dset == _oracle_parse(text)
+
+
+@pytest.mark.parametrize("text", ["dlbac-ds v1 3 2 1\n", "dlbac-ds v1 3 2 1\n\n \t\n\r\n"])
+def test_header_only_file_parses_without_a_warning(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dset = d.parse_dataset(text)
+    assert len(dset) == 0 and dset.M.shape == (0, 5)
+
+
+@pytest.mark.parametrize(
+    "line, token",
+    [
+        ("5 6 | 1_0 | 2 | 1", "1_0"),  # int() reads 10
+        ("5 6 | \u0661 | 2 | 1", "\u0661"),  # ARABIC-INDIC DIGIT ONE; int() reads 1
+        ("5\x1f6 | 1 | 2 | 1", "5\x1f6"),  # str.split() splits at the unit separator
+        ("5\xa06 | 1 | 2 | 1", "5\xa06"),  # ... and at a no-break space
+        ("5 6 | 1 | 2 | 1.0", "1.0"),
+        ("5 6 | +-1 | 2 | 1", "+-1"),
+        ("5 6 | 1- | 2 | 1", "1-"),
+    ],
+)
+def test_token_outside_the_grammar_reports_its_line(line, token):
+    text = "dlbac-ds v1 1 1 1\n0 0 | 1 | 2 | 0\n" + line + "\n"
+    message = f"line 3: non-integer token {token!r}"
+    assert _outcome(_oracle_parse, text) == f"FormatError: {message}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        d.parse_dataset(text)
+
+
 @st.composite
 def datasets(draw):
     num_u = draw(st.integers(1, 4))
@@ -619,6 +759,10 @@ class TestInt64Range:
     def test_header_count_out_of_range_reports_header_line(self, header):
         with pytest.raises(FormatError, match="line 2: header counts"):
             d.parse_dataset(f"\ndlbac-ds v1 {header}\n")
+
+    def test_header_wider_than_the_file_reports_line_before_allocating(self):
+        with pytest.raises(FormatError, match="^line 2: dimension mismatch with header$"):
+            d.parse_dataset("dlbac-ds v1 2000000000 2000000000 1\n1 2 | 3 | 4 | 1\n")
 
     def test_constructor_rejects_negative_counts(self):
         with pytest.raises(FormatError, match=r"counts \(1, -1, 1\)"):
@@ -902,14 +1046,65 @@ SMALL_DATASET_TEXT = (
 )
 
 
+# a dataset file's damage also draws characters outside the grammar that
+# str.split() or int() would accept
+DATASET_DAMAGE = {**DAMAGE, "char": st.one_of(DAMAGE["char"], st.sampled_from("\x1f\xa0\u0661_+"))}
+
+
 @settings(max_examples=300, deadline=None)
-@given(**DAMAGE)
+@given(**DATASET_DAMAGE)
 def test_damaged_dataset_file_loads_or_raises_dlbac_error(cut, at, char, truncate):
-    try:
-        dset = d.parse_dataset(_damaged(SMALL_DATASET_TEXT, cut, at, char, truncate))
-    except d.DlbacError:
-        return
-    assert isinstance(dset, d.Dataset)
+    text = _damaged(SMALL_DATASET_TEXT, cut, at, char, truncate)
+    got = _outcome(d.parse_dataset, text)
+    assert isinstance(got, (d.Dataset, str))
+    assert got == _outcome(_oracle_parse, text)
+
+
+def _large_text(n: int = 1100) -> str:
+    """A canonical file of n tuples: two tiles, the second 76 lines long."""
+    k = np.arange(n)
+    ids = np.column_stack((k // 10, k % 10))
+    M = (np.arange(4 * n).reshape(n, 4) * 7) % 20
+    Y = np.column_stack((k % 3 == 0, k % 2)).astype(np.int64)
+    return d.serialize_dataset(d.Dataset._of(2, 2, 2, ids, M, Y))
+
+
+LARGE_DATASET_TEXT = _large_text()
+SECOND_TILE = LARGE_DATASET_TEXT.index("\n102 4 |") + 1  # line 1,026: the 1,025th tuple
+
+
+@settings(max_examples=150, deadline=None)
+@given(at=st.integers(0, 2000), char=DATASET_DAMAGE["char"])
+def test_fault_in_the_second_tile_is_named_as_the_oracle_names_it(at, char):
+    text = _damaged(LARGE_DATASET_TEXT, 0, SECOND_TILE + at, char, False)
+    assert _outcome(d.parse_dataset, text) == _outcome(_oracle_parse, text)
+
+
+@pytest.mark.parametrize(
+    "edits, error",
+    [
+        ({1060: "0 1 | 1 2 | 5 6 | 0 1"}, "line 1060: duplicate (uid, rid) pair (0, 1)"),
+        ({500: "49 8 | 1 2 | 5 6 | 2 1", 1050: "x"}, "line 500: operation bits must be 0 or 1"),
+        ({1080: "107 8 | 1 2 | 5 6 | 1 -1"}, "line 1080: operation bits must be 0 or 1"),
+        ({700: "0 1 | 1 2 | 5 6 | 0 1", 1050: "x"}, "line 700: duplicate (uid, rid) pair (0, 1)"),
+        ({1030: "0 1 | 1 2 | 5 6 | 0 1", 1090: "1 2 | 9223372036854775808 2 | 5 6 | 0 1"},
+         "line 1030: duplicate (uid, rid) pair (0, 1)"),
+        ({1090: "1 2 | 9223372036854775808 2 | 5 6 | 0 1"}, "line 1090: value outside the int64 range"),
+        ({1100: "109 8 | 1 2 | 5 6 | 0 1 |"}, "line 1100: expected 4 '|'-separated sections"),
+        ({3: "\xa0"}, None),  # a blank line in the first tile
+    ],
+)
+def test_first_bad_line_is_named_across_tiles(edits, error):
+    lines = LARGE_DATASET_TEXT.splitlines()
+    for lineno, line in edits.items():
+        lines[lineno - 1] = line
+    text = "\n".join(lines) + "\n"
+    got = _outcome(d.parse_dataset, text)
+    assert got == _outcome(_oracle_parse, text)
+    if error is None:
+        assert isinstance(got, d.Dataset) and len(got) == 1099
+    else:
+        assert got == f"FormatError: {error}"
 
 
 @settings(max_examples=300, deadline=None)

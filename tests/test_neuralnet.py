@@ -524,6 +524,24 @@ class TestPersistence:
         for a, b in zip(loaded.params(), net.params()):
             assert np.array_equal(a, b)
 
+    def test_round_trip_bit_exact_at_float64_extremes(self):
+        net = tiny_net()
+        extremes = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        net.flat[: len(extremes)] = extremes
+        net.flat[-len(extremes) :] = extremes[::-1]
+        loaded = d.load_model(d.save_model(net))
+        assert loaded.flat.tobytes() == net.flat.tobytes()
+
+    # widths 3 4 2: lines 4-6 are the rows of W0, four values each
+    @pytest.mark.parametrize("at", [4, 6])
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_wrong_value_count_on_a_weight_row_names_its_line(self, at, change):
+        lines = d.save_model(tiny_net()).splitlines()
+        row = lines[at - 1].split()
+        lines[at - 1] = " ".join(row[:-1] if change == "drop" else row + row[:1])
+        with pytest.raises(FormatError, match=f"^line {at}: expected 4 values$"):
+            d.load_model("\n".join(lines) + "\n")
+
     def test_round_trip_preserves_forward(self):
         net = tiny_net()
         loaded = d.load_model(d.save_model(net))
