@@ -37,6 +37,7 @@ from .distill import (
 )
 from .encoding import (
     Encoder,
+    active_columns,
     build_encoder,
     encode_dataset,
     encode_pair,
@@ -82,6 +83,7 @@ from .neuralnet import (
     adam_step,
     backward,
     forward,
+    forward_active,
     init_network,
     input_gradient,
     load_model,

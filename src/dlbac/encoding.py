@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class Encoder:
     def num_positions(self) -> int:
         return self.num_user_meta + self.num_res_meta
 
-    @property
+    @cached_property  # computed once: a decision reads `width`
     def block_widths(self) -> tuple[int, ...]:
         if self.scheme == "onehot":
             return tuple(len(vals) + 1 for vals in self.seen_values)
@@ -55,7 +56,7 @@ class Encoder:
             start += w
         return tuple(spans)
 
-    @property
+    @cached_property
     def width(self) -> int:
         return sum(self.block_widths)
 
@@ -141,6 +142,25 @@ def encode_positions(encoder: Encoder, M, first: int = 0) -> np.ndarray:
             for bit in range(width):
                 X[:, start + bit] = (idx >> bit) & 1
     return X
+
+
+def active_columns(encoder: Encoder, M, first: int = 0) -> np.ndarray:
+    """The input columns that are 1, ascending, one intp row per row of M.
+
+    M and `first` are as in `encode_positions`, but the columns are absolute
+    feature columns, so a user row from position 0 followed by a resource row
+    from position num_user_meta lists a pair's columns in ascending order.  A
+    one-hot row has one column per position.  A binary row has one per set
+    bit, and an unseen value sets none, so shorter rows are padded at the end
+    with -1.
+    """
+    X = encode_positions(encoder, M, first)
+    rows, cols = np.nonzero(X)  # row-major: each row's columns ascend
+    counts = np.bincount(rows, minlength=X.shape[0])
+    C = np.full((X.shape[0], counts.max(initial=0)), -1, dtype=np.intp)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    C[rows, slot] = cols + sum(encoder.block_widths[:first])
+    return C
 
 
 def encode_pair(encoder: Encoder, umeta, rmeta) -> np.ndarray:

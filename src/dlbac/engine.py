@@ -11,17 +11,28 @@ last line without a newline is still answered.
 
 Each connection is one loop over `recv`: it answers every complete line it
 has received, in order, and sends those replies with one `sendall`, on a
-socket with `TCP_NODELAY` set, so pipelined requests cost one send per
-batch rather than one per line.  Each decision is one `forward` on one
-row, so a reply never depends on the lines that shared its batch.  At
-most `MAX_CONNECTIONS` connections are served at once; one more is answered
-`ERR server busy` and closed.
+socket with `TCP_NODELAY` set.  A connection whose `recv` or `sendall`
+waits `IDLE_SECONDS` is closed without a reply, so a client that stops
+sending or reading gives its slot back.  At most `MAX_CONNECTIONS`
+connections are served at once; one more is answered `ERR server busy` and
+closed.
+
+A decision is two steps: resolve the request and score the resolved rows.
+Resolving checks, in order, the op range, the encoder's layout against the
+store, the user, the resource and the encoder's width against the network.
+All the `DECIDE` lines of one `recv` are scored in one `forward_active`, at
+most `TILE_ROWS` rows at a time.  Layer 0 gives every row the bits of a
+dense `forward`, and layers 1..L see the batch padded as `forward` pads
+it, so a reply depends on its batch only through the BLAS.  Where the BLAS
+gives a row the same bits in every padded batch, as OpenBLAS 0.3.31 does
+for the default hidden widths, a reply does not depend on the lines that
+shared its batch and equals its pair's row of a dense batched `forward`.
 
 A pair's metadata is one row of positions, user positions first.  A store
-encodes each user's positions (from position 0) and each resource's (from
-position num_user_meta) once per encoder, on the first decision or
-explanation that encoder asks of it, so `MetadataStore.features` is two
-row lookups and one concatenation, and a decision is that plus `forward`.
+lists each user's active input columns (from position 0) and each
+resource's (from position num_user_meta) once per encoder, on the first
+decision or explanation that encoder asks of it; a pair's columns are its
+user's, then its resource's.
 """
 
 from __future__ import annotations
@@ -32,17 +43,19 @@ import socketserver
 import string
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dataset import Dataset
-from .encoding import Encoder, encode_positions
+from .encoding import Encoder, active_columns
 from .errors import ConfigError, ConflictError, NotFoundError
-from .neuralnet import Network, forward
+from .neuralnet import Network, forward_active
 
 MAX_LINE = 1024  # bytes in one request line, not counting its newline
 MAX_CONNECTIONS = 64  # connections served at once; one more is told `ERR server busy`
 RECV_BYTES = 65536  # bytes asked of one `recv`
+IDLE_SECONDS = 30  # a connection whose recv or sendall waits this long is closed
 
 
 @dataclass(frozen=True)
@@ -74,33 +87,48 @@ class MetadataStore:
         for a in (self.uids, self.U, self.rids, self.R):
             a.flags.writeable = False
         self.num_user_meta, self.num_res_meta = self.U.shape[1], self.R.shape[1]
-        # (encoder, uid -> user block, rid -> resource block), replaced whole
-        self._rows = None
+        # (encoder, user columns, resource columns), replaced whole
+        self._columns = None
 
-    def rows(self, encoder: Encoder) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-        """uid -> encoded user block and rid -> encoded resource block.
+    def columns(self, encoder: Encoder) -> tuple[np.ndarray, np.ndarray]:
+        """Each side's `active_columns`: row k of a side is its k-th id's.
 
         Built on the first call with an encoder and kept until a call with a
-        different encoder object; each side is one `encode_positions` call,
-        users from position 0 and resources from position num_user_meta.
+        different encoder object; users from position 0, resources from
+        position num_user_meta.
         """
-        rows = self._rows
-        if rows is None or rows[0] is not encoder:
+        columns = self._columns
+        if columns is None or columns[0] is not encoder:
             nu = self.num_user_meta
             encoder.check_layout(nu, self.num_res_meta)
-            rows = (
-                encoder,
-                dict(zip(self.uids.tolist(), encode_positions(encoder, self.U, 0))),
-                dict(zip(self.rids.tolist(), encode_positions(encoder, self.R, nu))),
-            )
-            self._rows = rows
-        return rows[1], rows[2]
+            users = active_columns(encoder, self.U, 0)
+            resources = active_columns(encoder, self.R, nu)
+            users.flags.writeable = resources.flags.writeable = False
+            columns = (encoder, users, resources)
+            self._columns = columns
+        return columns[1], columns[2]
+
+    @cached_property
+    def _row_of(self) -> tuple[dict[int, int], dict[int, int]]:
+        """uid -> row of U and rid -> row of R, built on first use."""
+        return (
+            {u: k for k, u in enumerate(self.uids.tolist())},
+            {r: k for k, r in enumerate(self.rids.tolist())},
+        )
+
+    def locate(self, uid: int, rid: int) -> tuple[int, int]:
+        """The rows of the pair's user and resource; an unknown user is named first."""
+        users, resources = self._row_of
+        return _find(users, uid, "user"), _find(resources, rid, "resource")
 
     def features(self, encoder: Encoder, uid: int, rid: int) -> np.ndarray:
         """The pair's feature row: its user's encoded row, then its resource's."""
-        users, resources = self.rows(encoder)
-        user, resource = _find(users, uid, "user"), _find(resources, rid, "resource")
-        return np.concatenate((user, resource))
+        users, resources = self.columns(encoder)
+        i, j = self.locate(uid, rid)
+        active = np.concatenate((users[i], resources[j]))
+        x = np.zeros(encoder.width)
+        x[active[active >= 0]] = 1.0
+        return x
 
     @property
     def user_ids(self) -> list[int]:
@@ -130,6 +158,29 @@ def build_store(dataset: Dataset) -> MetadataStore:
     return MetadataStore(*sides)
 
 
+def _resolve(net: Network, encoder: Encoder, store: MetadataStore, uid: int, rid: int, op: int):
+    """(user row, resource row, op) of a request.
+
+    Checked in this order: the op range, the encoder's layout against the
+    store, the user, the resource, and the encoder's width against the network.
+    """
+    net.config.check_op(op)
+    store.columns(encoder)
+    rows = store.locate(uid, rid)
+    if encoder.width != net.config.input_width:
+        raise ConfigError("input width does not match the network")
+    return (*rows, op)
+
+
+def _score(net: Network, encoder: Encoder, store: MetadataStore, requests) -> list[float]:
+    """The probability of each resolved request, from one `forward_active`."""
+    users, resources = store.columns(encoder)
+    user_rows, res_rows, ops = zip(*requests)
+    C = np.concatenate((users.take(user_rows, axis=0), resources.take(res_rows, axis=0)), axis=1)
+    P = forward_active(net, C)
+    return [p[op] for p, op in zip(P.tolist(), ops)]
+
+
 def decide(
     net: Network,
     encoder: Encoder,
@@ -140,8 +191,7 @@ def decide(
     threshold: float = 0.5,
 ) -> Decision:
     """Grant iff the network's probability for op strictly exceeds the threshold."""
-    net.config.check_op(op)
-    prob = float(forward(net, store.features(encoder, uid, rid))[op])
+    prob = _score(net, encoder, store, [_resolve(net, encoder, store, uid, rid, op)])[0]
     return Decision(op, prob, prob > threshold, threshold)
 
 
@@ -153,10 +203,8 @@ def format_decision(d: Decision) -> str:
 _DECIDE = re.compile(r"DECIDE\s+(-?[0-9]+)\s+(-?[0-9]+)\s+(-?[0-9]+)", re.ASCII)
 
 
-def handle_line(
-    line: str, net: Network, encoder: Encoder, store: MetadataStore, threshold: float
-) -> str:
-    """One reply line per input line; the protocol's whole request logic."""
+def _request(line: str):
+    """(uid, rid, op) of a `DECIDE` line, or the reply to any other line."""
     line = line.strip(string.whitespace)
     if line == "PING":
         return "PONG"
@@ -164,13 +212,38 @@ def handle_line(
     if m is None:
         return "ERR malformed request"
     try:
-        uid, rid, op = int(m[1]), int(m[2]), int(m[3])
+        return int(m[1]), int(m[2]), int(m[3])
     except ValueError:  # more digits than int() converts
         return "ERR malformed request"
-    try:
-        return format_decision(decide(net, encoder, store, uid, rid, op, threshold))
-    except (NotFoundError, ConfigError) as exc:
-        return f"ERR {exc}"
+
+
+def handle_lines(
+    lines: list[str], net: Network, encoder: Encoder, store: MetadataStore, threshold: float
+) -> list[str]:
+    """One reply per input line, in order; every resolved `DECIDE` is scored in one batch."""
+    replies, pending, slots = [], [], []  # slots[k]: the reply to pending[k]
+    for line in lines:
+        reply = _request(line)
+        if isinstance(reply, tuple):
+            try:
+                pending.append(_resolve(net, encoder, store, *reply))
+                slots.append(len(replies))
+                reply = None
+            except (NotFoundError, ConfigError) as exc:
+                reply = f"ERR {exc}"
+        replies.append(reply)
+    if pending:
+        probs = _score(net, encoder, store, pending)
+        for k, (_, _, op), p in zip(slots, pending, probs):
+            replies[k] = format_decision(Decision(op, p, p > threshold, threshold))
+    return replies
+
+
+def handle_line(
+    line: str, net: Network, encoder: Encoder, store: MetadataStore, threshold: float
+) -> str:
+    """The reply to one line: `handle_lines` of a batch of one."""
+    return handle_lines([line], net, encoder, store, threshold)[0]
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -179,31 +252,32 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         srv, sock = self.server, self.request
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(IDLE_SECONDS)  # bounds each recv and each whole sendall
         tail = b""
-        while True:
-            data = sock.recv(RECV_BYTES)
-            *lines, tail = (tail + data).split(b"\n")
-            if not data and tail:  # EOF: the last line needs no newline
-                lines.append(tail)
-                tail = b""
-            replies = []
-            for raw in lines:
-                if len(raw) > MAX_LINE:
-                    break
-                replies.append(handle_line(
-                    raw.decode("utf-8", errors="replace"),
+        try:
+            while True:
+                data = sock.recv(RECV_BYTES)
+                *lines, tail = (tail + data).split(b"\n")
+                if not data and tail:  # EOF: the last line needs no newline
+                    lines.append(tail)
+                    tail = b""
+                n = next((k for k, raw in enumerate(lines) if len(raw) > MAX_LINE), len(lines))
+                replies = handle_lines(
+                    [raw.decode("utf-8", errors="replace") for raw in lines[:n]],
                     srv.net,
                     srv.encoder,
                     srv.store,
                     srv.threshold,
-                ))
-            too_long = len(replies) < len(lines) or len(tail) > MAX_LINE
-            if too_long:
-                replies.append("ERR line too long")
-            if replies:
-                sock.sendall("".join(r + "\n" for r in replies).encode("utf-8"))
-            if too_long or not data:
-                return
+                )
+                too_long = n < len(lines) or len(tail) > MAX_LINE
+                if too_long:
+                    replies.append("ERR line too long")
+                if replies:
+                    sock.sendall("".join(r + "\n" for r in replies).encode("utf-8"))
+                if too_long or not data:
+                    return
+        except TimeoutError:  # idle, or not reading its replies: close without one
+            return
 
 
 class DecisionServer(socketserver.ThreadingTCPServer):

@@ -23,10 +23,10 @@ from .dataset import AuthorizationTuple, Dataset
 from .encoding import Encoder, encode_dataset, encode_positions
 from .engine import MetadataStore
 from .errors import ConfigError
-from .neuralnet import Network, _dprob_dz0, _rows, forward
+from .neuralnet import TILE_ROWS, Network, _dprob_dz0, _rows, forward
 from .rng import SplitMix64
 
-IG_CHUNK_ROWS = 1024  # (step, row) pairs per batched pass through layers 1..L
+IG_CHUNK_ROWS = TILE_ROWS  # (step, row) pairs per batched pass through layers 1..L
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ parameter lives in one flat vector, which Adam updates in place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .errors import ConfigError, FormatError
 from .rng import SplitMix64
 
 PROB_EPS = 1e-12  # clamp for log() in the loss
+TILE_ROWS = 1024  # rows in one pass of forward_active, and of integrated gradients
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam (Kingma & Ba, 2015) defaults
 
 
@@ -46,7 +48,7 @@ class NetworkConfig:
                 f"dataset operation count {num_ops} differs from the model's {self.num_ops}"
             )
 
-    @property
+    @cached_property  # computed once: every forward reads it
     def widths(self) -> tuple[int, ...]:
         return (self.input_width, *self.hidden_layers, self.num_ops)
 
@@ -163,21 +165,67 @@ def _rows(net: Network, x) -> tuple[np.ndarray, bool]:
     return X, single
 
 
+def _padded_rows(net: Network, n: int) -> int:
+    """Rows that layers 1..L multiply for a batch of n rows.
+
+    At least two, since numpy multiplies a single row with gemv, which adds
+    in another order than gemm.  Where a layer has at most 3 outputs, whole
+    blocks of 4: OpenBLAS 0.3.31 gives the rows past a batch's last whole
+    block of 4 other bits in such a layer, and no other layer shape was seen
+    to depend on the batch this way.
+    """
+    if min(net.config.widths[1:]) <= 3:
+        return -(-n // 4) * 4
+    return max(n, 2) if n else 0
+
+
+def _outputs(net: Network, z0: np.ndarray) -> np.ndarray:
+    """Probabilities of each row of z0, which holds layer 0's sums without b0.
+
+    The batch reaches layers 1..L padded to `_padded_rows` with copies of its
+    last row, so a row gets the same bits in every batch.
+    """
+    n, m = len(z0), _padded_rows(net, len(z0))
+    z0 += net.biases[0]
+    if n == 1:
+        z0 = z0.repeat(m, axis=0)
+    elif m > n:
+        z0 = np.concatenate((z0, z0[-1:].repeat(m - n, axis=0)))
+    return _sigmoid(_layers(net, z0)[-1])[:n]
+
+
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Grant probabilities, one per operation. Accepts a vector or a matrix.
 
-    A vector's layer 0 reads only the rows of W0 that its non-zero inputs
-    select, so its last bits may differ from the same row inside a matrix,
-    whose layer 0 is one gemm.
+    A vector is a batch of one, padded as every batch is (`_padded_rows`), so
+    `forward(net, X[i])` equals `forward(net, X)[i]`.
     """
     X, single = _rows(net, x)
-    W0, b0 = net.weights[0], net.biases[0]
-    if single:
-        idx = np.flatnonzero(X[0])
-        z0 = X[0, idx] @ W0[idx] + b0
-    else:
-        z0 = X @ W0 + b0
-    return _sigmoid(_layers(net, z0)[-1])
+    n = X.shape[0]
+    if n == 1:  # layer 0 too must not be a gemv
+        X = X[[0, 0]]
+    P = _outputs(net, X @ net.weights[0])
+    return P[0] if single else P[:n]
+
+
+def forward_active(net: Network, C: np.ndarray) -> np.ndarray:
+    """`forward` of 0/1 rows given by their active columns, one row per row of C.
+
+    Row i of C lists the input columns that are 1 in row i, ascending, as
+    `encoding.active_columns` gives them; a -1 is padding and does not count.
+    Layer 0 adds the selected rows of W0 in column order: the gemm of
+    `forward` adds the same terms in the same order plus exact 0.0 terms, so
+    layer 0 gives each row the bits a dense `forward` gives it.  Layers 1..L
+    see at most TILE_ROWS rows at a time, padded as in `forward`.
+    """
+    n = len(C)
+    if n > TILE_ROWS:
+        return np.concatenate(
+            [forward_active(net, C[k : k + TILE_ROWS]) for k in range(0, n, TILE_ROWS)]
+        )
+    # a batch without padding adds every term unmasked, which is faster
+    where = (C >= 0)[:, :, None] if C.min(initial=0) < 0 else True
+    return _outputs(net, np.add.reduce(net.weights[0].take(C, axis=0), axis=1, where=where))
 
 
 def loss(
@@ -383,13 +431,15 @@ def save_model(net: Network) -> str:
 
 
 def load_model(text: str) -> Network:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _HEADER:
+    lines = iter(text.splitlines())
+    header = next(lines, None)
+    if header is None or header.strip() != _HEADER:
         raise FormatError("bad model header")
-    if len(lines) < 2 or not lines[1].startswith("widths "):
+    widths_line = next(lines, None)
+    if widths_line is None or not widths_line.startswith("widths "):
         raise FormatError("missing widths line")
     try:
-        widths = [int(t) for t in lines[1].split()[1:]]
+        widths = [int(t) for t in widths_line.split()[1:]]
     except ValueError:
         raise FormatError("non-integer width") from None
     if len(widths) < 2:
@@ -405,30 +455,29 @@ def load_model(text: str) -> Network:
     if 2 * config.num_params > len(text):
         raise FormatError("model file is too short for its widths")
     net = Network(config)
-    i = 2
+    i = 2  # lines read
+    non_finite = None  # the first line holding a non-finite value, reported last
     for l, (W, b) in enumerate(zip(net.weights, net.biases)):
         rows, cols = W.shape
-        expect = f"layer {l} weight {rows} {cols}"
-        if i >= len(lines) or lines[i].strip() != expect:
-            raise FormatError(f"expected {expect!r} at line {i + 1}")
-        i += 1
-        for r in range(rows):
-            if i >= len(lines):
-                raise FormatError("truncated weight matrix")
-            W[r] = _hex_floats(lines[i], cols, i)
+        for expect, block, truncated in (
+            (f"layer {l} weight {rows} {cols}", W, "truncated weight matrix"),
+            (f"layer {l} bias {cols}", b[None, :], "truncated bias vector"),
+        ):
+            line = next(lines, None)
+            if line is None or line.strip() != expect:
+                raise FormatError(f"expected {expect!r} at line {i + 1}")
             i += 1
-        expect = f"layer {l} bias {cols}"
-        if i >= len(lines) or lines[i].strip() != expect:
-            raise FormatError(f"expected {expect!r} at line {i + 1}")
-        i += 1
-        if i >= len(lines):
-            raise FormatError("truncated bias vector")
-        b[:] = _hex_floats(lines[i], cols, i)
-        i += 1
-    if not np.isfinite(net.flat).all():  # one pass over the buffer; the line only on failure
-        bad = next(j for j in range(2, i) if not lines[j].lstrip().startswith("layer")
-                   and not np.isfinite([float.fromhex(t) for t in lines[j].split()]).all())
-        raise FormatError(f"line {bad + 1}: non-finite value")
+            for row in block:
+                line = next(lines, None)
+                if line is None:
+                    raise FormatError(truncated)
+                row[:] = _hex_floats(line, cols, i)
+                i += 1
+            if non_finite is None and not np.isfinite(block).all():
+                bad = np.flatnonzero(~np.isfinite(block).all(axis=1))[0]
+                non_finite = i - len(block) + bad + 1
+    if non_finite is not None:
+        raise FormatError(f"line {non_finite}: non-finite value")
     return net
 
 

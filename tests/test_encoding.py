@@ -218,6 +218,45 @@ def test_encoder_round_trip_property(dset, scheme):
     assert np.array_equal(d.encode_dataset(loaded, dset), d.encode_dataset(enc, dset))
 
 
+def _dense_from_columns(C, width):
+    """The 0/1 rows whose active columns C lists, -1 entries skipped."""
+    X = np.zeros((C.shape[0], width))
+    for i, row in enumerate(C.tolist()):
+        X[i, [c for c in row if c >= 0]] = 1.0
+    return X
+
+
+@settings(max_examples=60, deadline=None)
+@given(value_tables(), st.sampled_from(["onehot", "binary"]), st.integers(0, 2**32 - 1))
+def test_active_columns_list_the_encoded_ones(dset, scheme, seed):
+    enc = d.build_encoder(dset, scheme)
+    rng = np.random.default_rng(seed)
+    M = rng.integers(-1, 32, size=(rng.integers(0, 9), enc.num_positions))  # unseen values too
+    first = int(rng.integers(0, enc.num_positions + 1))
+    last = int(rng.integers(first, enc.num_positions + 1))
+    C = d.active_columns(enc, M[:, first:last], first)
+    assert C.dtype == np.intp and C.shape[0] == M.shape[0]
+    offset = sum(enc.block_widths[:first])
+    want = d.encode_positions(enc, M[:, first:last], first)
+    got = _dense_from_columns(C, enc.width)[:, offset : offset + want.shape[1]]
+    assert np.array_equal(got, want) and got.sum() == (C >= 0).sum()
+    for row in C.tolist():
+        real = [c for c in row if c >= 0]
+        assert row == real + [-1] * (len(row) - len(real))  # padding only at the end
+        assert real == sorted(set(real))
+    if scheme == "onehot" and len(M):  # one column per position, unseen values included
+        assert C.shape == (len(M), last - first) and (C >= 0).all()
+
+
+def test_pair_columns_are_user_columns_then_resource_columns():
+    enc = d.build_encoder(tiny_dataset(), "binary")
+    M = np.array([[2, 9], [7, 5], [0, 4]])  # 7 and 4 are unseen: they set no bit
+    users, resources = d.active_columns(enc, M[:, :1], 0), d.active_columns(enc, M[:, 1:], 1)
+    assert users.tolist() == [[0, 1], [-1, -1], [0, -1]]
+    assert resources.tolist() == [[4], [3], [-1]]
+    assert d.active_columns(enc, M).tolist() == [[0, 1, 4], [3, -1, -1], [0, -1, -1]]
+
+
 @settings(max_examples=40, deadline=None)
 @given(value_tables())
 def test_onehot_encoding_is_injective_on_training_rows(dset):

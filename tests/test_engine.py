@@ -3,6 +3,7 @@ import socket
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -219,10 +220,12 @@ class TestPreEncodedRows:
     def test_rows_follow_the_encoder_object(self, unseen_setup):
         pairs, store = unseen_setup
         (_, onehot), (_, binary) = pairs
-        uid = store.user_ids[0]
-        assert store.rows(onehot)[0][uid].shape != store.rows(binary)[0][uid].shape
-        users, resources = store.rows(onehot)
-        assert store.rows(onehot)[0] is users and store.rows(onehot)[1] is resources
+        for enc in (onehot, binary, onehot):
+            users, resources = store.columns(enc)
+            assert np.array_equal(users, d.active_columns(enc, store.U, 0))
+            assert np.array_equal(resources, d.active_columns(enc, store.R, 3))
+        users, resources = store.columns(onehot)
+        assert store.columns(onehot)[0] is users and store.columns(onehot)[1] is resources
 
     def test_features_are_the_encoded_pair(self, unseen_setup):
         pairs, store = unseen_setup
@@ -305,6 +308,171 @@ class TestPreEncodedRows:
         assert handle_line(f"DECIDE {uid} {rid} -1", net, enc, store, 0.5) == (
             "ERR operation index -1 out of range"
         )
+
+
+@pytest.fixture(scope="module")
+def four_op_setup():
+    """The acceptance network's shape (4 operations, default hidden widths) per scheme.
+
+    The store holds values the encoders never saw.
+    """
+    rng = np.random.default_rng(4)
+    store = engine.MetadataStore(
+        rng.permutation(90)[:40], rng.integers(0, 12, (40, 3)),
+        rng.permutation(90)[:40] - 45, rng.integers(0, 12, (40, 3)),
+    )
+    seen = tuple(tuple(range(p % 3, 9)) for p in range(6))  # values below p % 3 and 9-11 unseen
+    pairs = [(u, r) for u in store.uids.tolist() for r in store.rids.tolist()]
+    M = np.array([np.concatenate(_metadata(store, u, r)) for u, r in pairs])
+    out = {}
+    for seed, scheme in enumerate(("onehot", "binary")):
+        enc = d.Encoder(scheme, 3, 3, seen)
+        net = d.init_network(d.NetworkConfig(enc.width, 4, init_seed=seed))
+        out[scheme] = net, enc, d.forward(net, d.encode_positions(enc, M))
+    return out, store, pairs
+
+
+def _resolved(net, enc, store, pairs, ops):
+    return [engine._resolve(net, enc, store, u, r, op) for (u, r), op in zip(pairs, ops)]
+
+
+class TestBatchedScoring:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("scheme", ["onehot", "binary"])
+    def test_a_batch_equals_its_rows_of_one_dense_forward(
+        self, four_op_setup, batch_invariant_blas, scheme, data
+    ):
+        nets, store, pairs = four_op_setup
+        net, enc, dense = nets[scheme]
+        batch_invariant_blas(net)
+        assert len(pairs) > 1100
+        n = data.draw(st.sampled_from([1, 2, 1024, 1025]) | st.integers(1, 1100))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        idx, ops = rng.choice(len(pairs), n, replace=False), rng.integers(0, 4, n)
+        chosen = [pairs[k] for k in idx]
+        got = engine._score(net, enc, store, _resolved(net, enc, store, chosen, ops))
+        assert np.array(got).tobytes() == dense[idx, ops].tobytes()
+
+    @pytest.mark.parametrize("scheme", ["onehot", "binary"])
+    def test_every_pair_decided_alone_equals_its_dense_row(
+        self, four_op_setup, batch_invariant_blas, scheme
+    ):
+        nets, store, pairs = four_op_setup
+        net, enc, dense = nets[scheme]
+        batch_invariant_blas(net)
+        got = [[d.decide(net, enc, store, u, r, op).probability for op in range(4)]
+               for u, r in pairs[::7]]
+        assert np.array(got).tobytes() == dense[::7].tobytes()
+
+    def test_a_two_op_network_decides_alone_as_in_one_dense_forward(
+        self, setup, batch_invariant_blas
+    ):
+        # its 16 -> 2 output layer is where rows past a whole block of 4 took other bits
+        net, enc, store, _ = setup
+        batch_invariant_blas(net)
+        pairs = [(u, r) for u in store.user_ids for r in store.resource_ids]
+        dense = d.forward(net, [d.encode_pair(enc, *_metadata(store, u, r)) for u, r in pairs])
+        alone = [[d.decide(net, enc, store, u, r, op).probability for op in range(2)]
+                 for u, r in pairs[::5]]
+        assert np.array(alone).tobytes() == dense[::5].tobytes()
+        order = np.random.default_rng(5).permutation(len(pairs))[:1027]
+        got = engine._score(net, enc, store,
+                            _resolved(net, enc, store, [pairs[k] for k in order], order % 2))
+        assert np.array(got).tobytes() == dense[order, order % 2].tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("which", ["setup", "onehot", "binary"])
+    def test_any_network_scores_a_batch_as_forward_does(
+        self, setup, unseen_setup, batch_invariant_blas, which, data
+    ):
+        if which == "setup":
+            net, enc, store, _ = setup
+        else:
+            net, enc = unseen_setup[0][which == "binary"]
+            store = unseen_setup[1]
+        batch_invariant_blas(net)
+        pairs = [(u, r) for u in store.user_ids for r in store.resource_ids]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        idx = rng.choice(len(pairs), data.draw(st.integers(1, min(len(pairs), 300))))
+        chosen = [pairs[k] for k in idx]
+        ops = rng.integers(0, net.config.num_ops, len(chosen))
+        X = np.array([d.encode_pair(enc, *_metadata(store, u, r)) for u, r in chosen])
+        got = engine._score(net, enc, store, _resolved(net, enc, store, chosen, ops))
+        assert np.array(got).tobytes() == d.forward(net, X)[np.arange(len(X)), ops].tobytes()
+
+    def test_lines_are_answered_in_order_as_line_by_line(self, setup):
+        net, enc, store, _ = setup
+        uid, rid = store.user_ids[0], store.resource_ids[0]
+        pairs = [(u, r) for u in store.user_ids for r in store.resource_ids]
+        decides = [f"DECIDE {u} {r} {k % 2}" for k, (u, r) in enumerate((pairs * 6)[:1400])]
+        assert len(decides) == 1400
+        lines = [*decides[:700], "PING", f"DECIDE 999999 {rid} 0", f"DECIDE {uid} 999998 1",
+                 f"DECIDE {uid} {rid} 2", "DECIDE 1 2", "\ufffd", *decides[700:]]
+        want = [handle_line(line, net, enc, store, 0.5) for line in lines]
+        assert engine.handle_lines(lines, net, enc, store, 0.5) == want
+        assert engine.handle_lines([], net, enc, store, 0.5) == []
+
+    def test_an_encoder_that_does_not_fit_answers_err_per_decide(self, unseen_setup):
+        # the layout is checked before the ids, as a decision always has
+        pairs, store = unseen_setup
+        net, enc = pairs[0]
+        other = d.Encoder(enc.scheme, 2, 4, enc.seen_values)
+        uid, rid = store.user_ids[0], store.resource_ids[0]
+        replies = engine.handle_lines(
+            ["PING", f"DECIDE {uid} {rid} 0", f"DECIDE 999999 {rid} 0", f"DECIDE {uid} {rid} 5"],
+            net, other, store, 0.5)
+        assert replies[0] == "PONG"
+        assert replies[1] == replies[2] == (
+            "ERR 3 user and 3 resource metadata do not match encoder positions (2 + 4)")
+        assert replies[3] == "ERR operation index 5 out of range"
+
+
+def _resized(enc, change):
+    """`enc` with its first position's seen values widened (change > 0) or narrowed."""
+    first = enc.seen_values[0]
+    first = first + tuple(range(1000, 1000 + change)) if change > 0 else first[:change]
+    return d.Encoder(enc.scheme, enc.num_user_meta, enc.num_res_meta,
+                     (first, *enc.seen_values[1:]))
+
+
+class TestEncoderWidth:
+    """An encoder of the store's layout but not the network's width answers an error."""
+
+    @pytest.mark.parametrize("change", [9, 4, -1])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_decide_and_lines_say_the_width_does_not_match(self, unseen_setup, which, change):
+        pairs, store = unseen_setup
+        net, enc = pairs[which]
+        other = _resized(enc, change)
+        assert other.width != net.config.input_width
+        uid, rid = store.user_ids[0], store.resource_ids[0]
+        with pytest.raises(ConfigError, match="^input width does not match the network$"):
+            d.decide(net, other, store, uid, rid, 0)
+        lines = [f"DECIDE {uid} {rid} 0", "PING", f"DECIDE 999999 {rid} 0",
+                 f"DECIDE {uid} 999998 1", f"DECIDE {uid} {rid} 2", f"DECIDE {uid} {rid} 1"]
+        want = ["ERR input width does not match the network", "PONG", "ERR unknown user 999999",
+                "ERR unknown resource 999998", "ERR operation index 2 out of range",
+                "ERR input width does not match the network"]
+        assert engine.handle_lines(lines, net, other, store, 0.5) == want
+        assert [handle_line(line, net, other, store, 0.5) for line in lines] == want
+
+    @pytest.mark.parametrize("change", [9, -1])
+    def test_a_served_line_says_the_width_does_not_match(self, unseen_setup, change):
+        pairs, store = unseen_setup
+        net, enc = pairs[0]
+        uid, rid = store.user_ids[0], store.resource_ids[0]
+        server = d.serve(net, _resized(enc, change), store, host="127.0.0.1", port=0)
+        try:
+            wire = f"DECIDE {uid} {rid} 0\nPING\nDECIDE {uid} {rid} 1\n".encode()
+            assert _exchange(server.server_address, [wire], 3) == [
+                b"ERR input width does not match the network\n", b"PONG\n",
+                b"ERR input width does not match the network\n"]
+            assert _closed_loop(server.server_address, [b"PING"]) == [b"PONG\n"]
+        finally:
+            server.shutdown()
+            server.server_close()
 
 
 class TestProtocolLines:
@@ -481,6 +649,25 @@ class TestBatchedConnection:
             assert f.readline() == b"ERR line too long\n"
             assert f.readline() == b""
 
+    def test_one_recv_of_mixed_lines_is_answered_in_order(self, setup, server):
+        net, enc, store, dset = setup
+        (u, r), (u2, r2) = dset.ids[:2].tolist()
+        lines = [f"DECIDE {u} {r} 0", "PING", f"DECIDE 999999 {r} 0", f"DECIDE {u} 999998 1",
+                 f"DECIDE {u} {r} 7", "DECIDE 1 2", f"DECIDE {u2} {r2} 1", "\tPING ",
+                 f"DECIDE {u} {r} -1", "", f"DECIDE {u2} {r} 0"]
+        want = [(handle_line(line, net, enc, store, 0.5) + "\n").encode() for line in lines]
+        wire = b"".join(line.encode() + b"\n" for line in lines)
+        assert _exchange(server.server_address, [wire], len(lines)) == want
+
+    def test_more_than_a_tile_of_decide_lines_is_answered_in_full(self, setup, server):
+        net, enc, store, _ = setup
+        pairs = [(u, r) for u in store.user_ids for r in store.resource_ids]
+        lines = [f"DECIDE {u} {r} {k % 2}" for k, (u, r) in enumerate((pairs * 6)[:1500])]
+        want = [(handle_line(line, net, enc, store, 0.5) + "\n").encode() for line in lines]
+        wire = b"".join(line.encode() + b"\n" for line in lines)
+        assert len(lines) == 1500 and len(wire) < engine.RECV_BYTES
+        assert _exchange(server.server_address, [wire], len(lines)) == want
+
     def test_overlong_line_inside_a_batch_ends_it(self, server, monkeypatch):
         monkeypatch.setattr(engine, "MAX_LINE", 16)
         with socket.create_connection(server.server_address, timeout=5) as sock:
@@ -521,3 +708,109 @@ def test_connections_over_the_cap_are_told_busy(setup, monkeypatch):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _wait_for_pong(address, seconds=10):
+    """PING on fresh connections until one reads PONG; the replies read on the way."""
+    deadline, replies = time.monotonic() + seconds, []
+    while b"PONG\n" not in replies and time.monotonic() < deadline:
+        with socket.create_connection(address, timeout=5) as c:
+            try:
+                c.sendall(b"PING\n")
+                replies.append(c.makefile("rb").readline())
+            except ConnectionResetError:
+                replies.append(b"reset")
+    return replies
+
+
+@pytest.fixture
+def idle_server(setup, monkeypatch):
+    net, enc, store, _ = setup
+    monkeypatch.setattr(engine, "IDLE_SECONDS", 0.2)
+    monkeypatch.setattr(engine, "MAX_CONNECTIONS", 2)
+    server = d.serve(net, enc, store, host="127.0.0.1", port=0)
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+class TestIdleDeadline:
+    def test_silent_clients_are_closed_and_their_slots_reused(self, idle_server):
+        address = idle_server.server_address
+        a = socket.create_connection(address, timeout=5)
+        b = socket.create_connection(address, timeout=5)
+        with a, b:
+            time.sleep(0.05)  # both hold their slots
+            with socket.create_connection(address, timeout=5) as c:
+                assert c.makefile("rb").read() == b"ERR server busy\n"
+            started = time.monotonic()
+            assert a.makefile("rb").read() == b""  # closed without a reply
+            assert b.makefile("rb").read() == b""
+            assert time.monotonic() - started < 5
+            replies = _wait_for_pong(address)
+            assert replies[-1] == b"PONG\n"
+            assert set(replies[:-1]) <= {b"ERR server busy\n", b"reset"}
+
+    def test_a_client_that_never_reads_is_closed(self, idle_server):
+        address = idle_server.server_address
+        with socket.socket() as flood:
+            flood.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            flood.settimeout(10)
+            flood.connect(address)
+            try:
+                flood.sendall(b"PING\n" * 200_000)  # 1 MB, and no reply is read
+            except OSError:  # the server closed it before it took every byte
+                pass
+            with socket.create_connection(address, timeout=5) as other:
+                other.sendall(b"PING\n")
+                assert other.makefile("rb").readline() == b"PONG\n"
+            # the flooder's slot comes back: with both slots held, this reads busy
+            replies = _wait_for_pong(address)
+            assert replies[-1] == b"PONG\n"
+            flood.shutdown(socket.SHUT_WR)
+            got = b""
+            try:
+                while chunk := flood.recv(1 << 16):
+                    got += chunk
+            except ConnectionResetError:
+                pass
+            assert (b"PONG\n" * 200_000).startswith(got)
+
+    def test_a_sendall_that_cannot_finish_is_cut_off(self, setup, monkeypatch):
+        # small socket buffers on both ends, so the replies to 1 MB of PING back up
+        net, enc, store, _ = setup
+        monkeypatch.setattr(engine, "IDLE_SECONDS", 0.2)
+        # stands in for a DecisionServer: the four attributes a handler reads
+        server = types.SimpleNamespace(net=net, encoder=enc, store=store, threshold=0.5)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = socket.socket()
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            client.connect(listener.getsockname())
+            conn, _ = listener.accept()
+        with client, conn:
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+            def flood():
+                try:
+                    client.sendall(b"PING\n" * 200_000)
+                except OSError:  # the server end was closed
+                    pass
+
+            handler = threading.Thread(target=engine._Handler, args=(conn, None, server))
+            flooder = threading.Thread(target=flood, daemon=True)
+            started = time.monotonic()
+            handler.start()
+            flooder.start()
+            handler.join(timeout=10)
+            assert not handler.is_alive() and time.monotonic() - started < 10
+            client.settimeout(0.5)
+            got = b""
+            try:
+                while chunk := client.recv(1 << 16):
+                    got += chunk
+            except TimeoutError:  # all that was sent has been read
+                pass
+            conn.close()
+            flooder.join(timeout=10)
+            assert 0 < len(got) < 5 * 200_000  # replies were cut off, not all sent
+            assert (b"PONG\n" * 200_000).startswith(got)

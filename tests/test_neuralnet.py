@@ -664,10 +664,12 @@ def trained_rows():
 
 
 class TestOneRowKernel:
-    def test_one_row_agrees_with_its_row_of_a_batch(self, trained_rows):
+    def test_one_row_agrees_with_its_row_of_a_batch(self, trained_rows, batch_invariant_blas):
         net, X = trained_rows
+        batch_invariant_blas(net)
         rows = np.array([d.forward(net, x) for x in X])
-        assert np.abs(rows - d.forward(net, X)).max() <= 1e-15
+        assert rows.tobytes() == d.forward(net, X).tobytes()
+        assert rows.tobytes() == np.vstack([d.forward(net, x[None, :]) for x in X]).tobytes()
 
     def test_all_zero_row_is_the_bias_walk(self, trained_rows):
         net, X = trained_rows
@@ -681,3 +683,96 @@ class TestOneRowKernel:
             x = rng.normal(scale=3.0, size=X.shape[1]) * (rng.random(X.shape[1]) < 0.4)
             dense = _sigmoid(nn._layers(net, x @ net.weights[0] + net.biases[0])[-1])
             assert np.abs(d.forward(net, x) - dense).max() <= 1e-15
+
+
+def _columns(X):
+    """The active columns of 0/1 rows, padded at the end with -1."""
+    width = max([int(row.sum()) for row in X], default=0)
+    C = np.full((len(X), width), -1, dtype=np.intp)
+    for i, row in enumerate(X):
+        ones = np.flatnonzero(row)
+        C[i, : len(ones)] = ones
+    return C
+
+
+@pytest.fixture(scope="module")
+def binary_rows():
+    dset = trainable_dataset()
+    enc = d.build_encoder(d.Dataset(4, 4, 2, dset.tuples[:10]), "binary")  # unseen values later
+    cfg = d.NetworkConfig(enc.width, dset.num_ops, (32, 16), init_seed=6)
+    return d.init_network(cfg), d.encode_dataset(enc, dset)
+
+
+class TestForwardActive:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("scheme", ["onehot", "binary"])
+    def test_rows_equal_a_dense_forward_of_the_same_batch(
+        self, trained_rows, binary_rows, batch_invariant_blas, scheme, data
+    ):
+        net, X = trained_rows if scheme == "onehot" else binary_rows
+        batch_invariant_blas(net)
+        n = data.draw(st.integers(1, 5) | st.integers(1, nn.TILE_ROWS))
+        idx = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, len(X), n)
+        got = d.forward_active(net, _columns(X[idx]))
+        assert got.shape == (n, net.config.num_ops)
+        assert got.tobytes() == d.forward(net, X[idx]).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("scheme", ["onehot", "binary"])
+    def test_rows_equal_their_rows_of_one_dense_forward(
+        self, trained_rows, binary_rows, batch_invariant_blas, scheme, data
+    ):
+        # with repeats, so batches cross TILE_ROWS; a last tile may hold one row
+        net, X = trained_rows if scheme == "onehot" else binary_rows
+        batch_invariant_blas(net)
+        n = data.draw(st.sampled_from([1, 2, 3, nn.TILE_ROWS, nn.TILE_ROWS + 1])
+                      | st.integers(1, nn.TILE_ROWS + 76))
+        idx = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, len(X), n)
+        got = d.forward_active(net, _columns(X[idx]))
+        assert got.tobytes() == d.forward(net, X)[idx].tobytes()
+
+    @pytest.mark.parametrize("n, seen", [
+        (1, [4]), (3, [4]), (5, [8]), (1024, [1024]), (1025, [1024, 4]),
+        (2100, [1024, 1024, 52]),
+    ])
+    def test_layers_see_whole_blocks_of_at_most_a_tile(self, trained_rows, monkeypatch, n, seen):
+        net, X = trained_rows
+        rows, layers = [], nn._layers
+        monkeypatch.setattr(nn, "_layers", lambda net, z0: rows.append(len(z0)) or layers(net, z0))
+        C = _columns(X[np.arange(n) % len(X)])
+        assert d.forward_active(net, C).shape == (n, net.config.num_ops)
+        assert d.forward(net, X[np.arange(n) % len(X)]).shape == (n, net.config.num_ops)
+        assert rows == seen + [(n + 3) // 4 * 4]
+
+    @pytest.mark.parametrize("ops, seen", [(4, [2, 2, 3, 5]), (3, [4, 4, 4, 8])])
+    def test_only_narrow_layers_pad_to_whole_blocks(self, monkeypatch, ops, seen):
+        net = tiny_net(input_width=6, num_ops=ops, hidden=(8, 5))
+        rows, layers = [], nn._layers
+        monkeypatch.setattr(nn, "_layers", lambda net, z0: rows.append(len(z0)) or layers(net, z0))
+        for n in (1, 2, 3, 5):
+            d.forward_active(net, np.zeros((n, 2), dtype=np.intp))
+        assert rows == seen
+
+    def test_an_empty_row_is_the_bias_walk(self, binary_rows):
+        net, X = binary_rows
+        want = d.forward(net, np.zeros((2, X.shape[1])))
+        assert d.forward_active(net, np.full((2, 3), -1, dtype=np.intp)).tobytes() == want.tobytes()
+        assert d.forward_active(net, np.zeros((2, 0), dtype=np.intp)).tobytes() == want.tobytes()
+
+    def test_padding_is_masked_only_where_a_row_holds_it(self, binary_rows, batch_invariant_blas):
+        net, X = binary_rows
+        batch_invariant_blas(net)
+        C = _columns(X[:40])
+        assert (C < 0).any() and not (C < 0).all()
+        want = d.forward(net, X[:40])
+        assert d.forward_active(net, C).tobytes() == want.tobytes()
+        full = C[(C >= 0).all(axis=1)]
+        assert d.forward_active(net, full).tobytes() == d.forward(
+            net, X[:40][(C >= 0).all(axis=1)]).tobytes()
+
+    def test_no_rows(self, trained_rows):
+        net, X = trained_rows
+        assert d.forward_active(net, np.zeros((0, 8), dtype=np.intp)).shape == (0, 2)
+        assert d.forward(net, X[:0]).shape == (0, 2)
