@@ -144,10 +144,15 @@ def fit_tree(
         raise ConfigError("min_samples_leaf must be >= 1")
     if max_depth is not None and max_depth < 0:
         raise ConfigError("max_depth must be >= 0, or None for unlimited")
-    if feature_names is None:
-        feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
+    default = (f"f{i}" for i in range(X.shape[1]))
+    names = tuple(default if feature_names is None else feature_names)
+    # the tree file splits its features line on whitespace and finds a node's feature by name
+    if not all(isinstance(n, str) and n.split() == [n] for n in names):
+        raise ConfigError("feature names must be non-empty strings without whitespace")
+    if len(set(names)) != len(names) or len(names) != X.shape[1]:
+        raise ConfigError(f"{len(set(names))} distinct feature names for {X.shape[1]} columns")
     arrays = _grow(X, y, max_depth, min_samples_leaf)
-    tree = DistilledTree(*arrays, op_index, max_depth, min_samples_leaf, 0.0, tuple(feature_names))
+    tree = DistilledTree(*arrays, op_index, max_depth, min_samples_leaf, 0.0, names)
     tree.mse = float(np.mean((_leaf_values(tree, X) - y) ** 2))
     return tree
 

@@ -20,13 +20,13 @@ closed.
 A decision is two steps: resolve the request and score the resolved rows.
 Resolving checks, in order, the op range, the encoder's layout against the
 store, the user, the resource and the encoder's width against the network.
-All the `DECIDE` lines of one `recv` are scored in one `forward_active`, at
-most `TILE_ROWS` rows at a time.  Layer 0 gives every row the bits of a
-dense `forward`, and layers 1..L see the batch padded as `forward` pads
-it, so a reply depends on its batch only through the BLAS.  Where the BLAS
-gives a row the same bits in every padded batch, as OpenBLAS 0.3.31 does
-for the default hidden widths, a reply does not depend on the lines that
-shared its batch and equals its pair's row of a dense batched `forward`.
+All the `DECIDE` lines of one `recv` are scored in one `forward_active`,
+which cuts and pads them into the tiles every `forward` uses, and whose
+layer 0 gives every row the bits of a dense `forward`.  So a reply depends
+on its batch only through the BLAS.  Where the BLAS gives a row of a
+padded tile the same bits in every tile, as OpenBLAS 0.3.31 does for the
+default hidden widths, a reply does not depend on the lines that shared
+its batch and equals its pair's row of a dense `forward` of any batch.
 
 A pair's metadata is one row of positions, user positions first.  A store
 lists each user's active input columns (from position 0) and each

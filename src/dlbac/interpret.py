@@ -26,8 +26,6 @@ from .errors import ConfigError
 from .neuralnet import TILE_ROWS, Network, _dprob_dz0, _rows, forward
 from .rng import SplitMix64
 
-IG_CHUNK_ROWS = TILE_ROWS  # (step, row) pairs per batched pass through layers 1..L
-
 
 @dataclass(frozen=True)
 class Attribution:
@@ -55,7 +53,7 @@ def integrated_gradients(
     pre-activation is (B W0 + b0) + alpha*(D W0), and the summed input
     gradient is (sum_k dP/dz0_k) W0^T: W0 takes part three times per call,
     whatever `steps` is.  The (step, row) pairs go through the other layers
-    in batches of at most IG_CHUNK_ROWS rows, so memory does not grow with
+    in batches of at most TILE_ROWS rows, so memory does not grow with
     `steps` either.
     """
     X, single = _rows(net, x)
@@ -70,8 +68,8 @@ def integrated_gradients(
     base = B @ W0 + net.biases[0]
     slope = D @ W0
     total = np.zeros_like(base)  # sum over steps of dP/dz0
-    rows = max(1, min(X.shape[0], IG_CHUNK_ROWS))
-    per = IG_CHUNK_ROWS // rows  # steps per batch
+    rows = max(1, min(X.shape[0], TILE_ROWS))
+    per = TILE_ROWS // rows  # steps per batch
     for r in range(0, X.shape[0], rows):
         b, s = base[r : r + rows], slope[r : r + rows]
         for k in range(1, steps + 1, per):

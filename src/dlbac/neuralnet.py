@@ -19,7 +19,7 @@ from .errors import ConfigError, FormatError
 from .rng import SplitMix64
 
 PROB_EPS = 1e-12  # clamp for log() in the loss
-TILE_ROWS = 1024  # rows in one pass of forward_active, and of integrated gradients
+TILE_ROWS = 1024  # rows in one pass through layers 1..L: every forward, integrated gradients
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam (Kingma & Ba, 2015) defaults
 
 
@@ -140,14 +140,16 @@ def init_network(config: NetworkConfig) -> Network:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never overflows."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _layers(net: Network, z0: np.ndarray) -> list[np.ndarray]:
     """Pre-activations of layers 0..L, given layer 0's: the one walk through layers 1..L."""
     zs = [z0]
     for W, b in zip(net.weights[1:], net.biases[1:]):
-        zs.append(np.maximum(zs[-1], 0.0) @ W + b)
+        z = np.maximum(zs[-1], 0.0) @ W
+        z += b
+        zs.append(z)
     return zs
 
 
@@ -165,47 +167,48 @@ def _rows(net: Network, x) -> tuple[np.ndarray, bool]:
     return X, single
 
 
-def _padded_rows(net: Network, n: int) -> int:
-    """Rows that layers 1..L multiply for a batch of n rows.
+def _tiled(net: Network, rows: np.ndarray, layer0) -> np.ndarray:
+    """Probabilities of `rows`; `layer0(net, tile)` gives a tile's layer-0 sums without b0.
 
-    At least two, since numpy multiplies a single row with gemv, which adds
-    in another order than gemm.  Where a layer has at most 3 outputs, whole
-    blocks of 4: OpenBLAS 0.3.31 gives the rows past a batch's last whole
-    block of 4 other bits in such a layer, and no other layer shape was seen
-    to depend on the batch this way.
+    Layers 1..L see at most TILE_ROWS rows at a time, padded to whole blocks
+    of 4 rows with copies of the tile's last row.  numpy multiplies a single
+    row with gemv, which adds in another order than gemm; OpenBLAS 0.3.31
+    gives the rows past a product's last whole block of 4 other bits in a
+    layer of at most 3 outputs, and multiplies 8,192 rows or more in another
+    order.  So a row gets the same bits in every batch wherever the BLAS gives
+    a row of a padded tile the same bits in every tile.
     """
-    if min(net.config.widths[1:]) <= 3:
-        return -(-n // 4) * 4
-    return max(n, 2) if n else 0
-
-
-def _outputs(net: Network, z0: np.ndarray) -> np.ndarray:
-    """Probabilities of each row of z0, which holds layer 0's sums without b0.
-
-    The batch reaches layers 1..L padded to `_padded_rows` with copies of its
-    last row, so a row gets the same bits in every batch.
-    """
-    n, m = len(z0), _padded_rows(net, len(z0))
+    n = len(rows)
+    if n > TILE_ROWS:  # each slice is one tile
+        tiles = range(0, n, TILE_ROWS)
+        return np.concatenate([_tiled(net, rows[k : k + TILE_ROWS], layer0) for k in tiles])
+    z0 = layer0(net, rows)
     z0 += net.biases[0]
-    if n == 1:
-        z0 = z0.repeat(m, axis=0)
-    elif m > n:
-        z0 = np.concatenate((z0, z0[-1:].repeat(m - n, axis=0)))
+    if n % 4:  # the last row fills out its block of 4
+        z0 = z0.repeat([1] * (n - 1) + [1 + -n % 4], axis=0)
     return _sigmoid(_layers(net, z0)[-1])[:n]
+
+
+def _gemm(net: Network, X: np.ndarray) -> np.ndarray:
+    # a single row is multiplied as two: numpy would multiply it with gemv
+    return (X[[0, 0]] @ net.weights[0])[:1] if len(X) == 1 else X @ net.weights[0]
+
+
+def _gather(net: Network, C: np.ndarray) -> np.ndarray:
+    # a tile without padding adds every term unmasked, which is faster
+    where = (C >= 0)[:, :, None] if C.min(initial=0) < 0 else True
+    return np.add.reduce(net.weights[0].take(C, axis=0), axis=1, where=where)
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Grant probabilities, one per operation. Accepts a vector or a matrix.
 
-    A vector is a batch of one, padded as every batch is (`_padded_rows`), so
-    `forward(net, X[i])` equals `forward(net, X)[i]`.
+    A vector is a batch of one, cut and padded as every batch is (`_tiled`),
+    so `forward(net, X[i])` equals `forward(net, X)[i]`.
     """
     X, single = _rows(net, x)
-    n = X.shape[0]
-    if n == 1:  # layer 0 too must not be a gemv
-        X = X[[0, 0]]
-    P = _outputs(net, X @ net.weights[0])
-    return P[0] if single else P[:n]
+    P = _tiled(net, X, _gemm)
+    return P[0] if single else P
 
 
 def forward_active(net: Network, C: np.ndarray) -> np.ndarray:
@@ -216,16 +219,9 @@ def forward_active(net: Network, C: np.ndarray) -> np.ndarray:
     Layer 0 adds the selected rows of W0 in column order: the gemm of
     `forward` adds the same terms in the same order plus exact 0.0 terms, so
     layer 0 gives each row the bits a dense `forward` gives it.  Layers 1..L
-    see at most TILE_ROWS rows at a time, padded as in `forward`.
+    see the tiles `forward` gives them.
     """
-    n = len(C)
-    if n > TILE_ROWS:
-        return np.concatenate(
-            [forward_active(net, C[k : k + TILE_ROWS]) for k in range(0, n, TILE_ROWS)]
-        )
-    # a batch without padding adds every term unmasked, which is faster
-    where = (C >= 0)[:, :, None] if C.min(initial=0) < 0 else True
-    return _outputs(net, np.add.reduce(net.weights[0].take(C, axis=0), axis=1, where=where))
+    return _tiled(net, C, _gather)
 
 
 def loss(

@@ -4,12 +4,10 @@ import pytest
 from dlbac import neuralnet as nn
 
 # Batch sizes at which a product's rows are compared with the rows of a
-# TILE_ROWS-row product: any size for a layer of 4 or more outputs, whole
-# blocks of 4 for a layer of at most 3.  They are stated here rather than read
-# from neuralnet, so a wrong padding rule there fails the exact tests instead
-# of skipping them.
-WIDE_SIZES = (2, 3, 5, 101, nn.TILE_ROWS - 1)
-NARROW_SIZES = (4, 8, 100, nn.TILE_ROWS - 4)
+# TILE_ROWS-row product: whole blocks of 4, the only sizes neuralnet
+# multiplies.  They are stated here rather than read from neuralnet, so a
+# wrong padding rule there fails the exact tests instead of skipping them.
+SIZES = (4, 8, 100, nn.TILE_ROWS - 4)
 
 
 def _blas_gives_batch_invariant_rows(net) -> bool:
@@ -17,9 +15,9 @@ def _blas_gives_batch_invariant_rows(net) -> bool:
 
     (1) A 0/1 row times W0 equals the sum of W0's selected rows in column
     order.  (2) In each of layers 1..L, a row of a product gets the same bits
-    in every batch of 2 to TILE_ROWS rows, or of whole blocks of 4 rows where
-    the layer has at most 3 outputs.  Both are properties of the BLAS
-    (OpenBLAS 0.3.31 meets them for the networks tested here), not of dlbac.
+    in every batch of whole blocks of 4 rows, up to TILE_ROWS.  Both are
+    properties of the BLAS (OpenBLAS 0.3.31 meets them for the networks
+    tested here), not of dlbac.
     """
     rng = np.random.default_rng(0)
     W0 = net.weights[0]
@@ -30,7 +28,7 @@ def _blas_gives_batch_invariant_rows(net) -> bool:
     for W in net.weights[1:]:
         A = rng.standard_normal((nn.TILE_ROWS, W.shape[0]))
         full = A @ W
-        for n in NARROW_SIZES if W.shape[1] <= 3 else WIDE_SIZES:
+        for n in SIZES:
             if (A[:n] @ W).tobytes() != full[:n].tobytes():
                 return False
     return True

@@ -411,6 +411,21 @@ def test_criterion_09_distillation_fidelity(full_scale):
     )
 
 
+def test_distilled_labels_are_the_served_probabilities(full_scale, batch_invariant_blas):
+    # a tree is fitted to what the enforcement point would answer, bit for bit
+    net, encoder, train = full_scale["net"], full_scale["encoder"], full_scale["train"]
+    batch_invariant_blas(net)
+    store = d.build_store(train)
+    users, resources = store.columns(encoder)
+    rows = np.array([store.locate(u, r) for u, r in train.ids.tolist()])
+    C = np.concatenate((users[rows[:, 0]], resources[rows[:, 1]]), axis=1)
+    served = d.forward_active(net, C)
+    differ = [int((d.soft_labels(net, encoder, train, op) != served[:, op]).sum())
+              for op in range(train.num_ops)]
+    verdict("soft labels are served probabilities", differ == [0] * train.num_ops,
+            f"{len(train)} training rows, rows differing per op {differ}")
+
+
 def _brute_force_split(X, y, min_leaf):
     n = len(y)
     best = None

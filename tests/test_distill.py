@@ -131,6 +131,36 @@ class TestGrow:
         assert tree.count[1] == 2
 
 
+    @pytest.mark.parametrize("names, message", [
+        (("a",), "1 distinct feature names for 2"),
+        (("a", "b", "c"), "3 distinct feature names for 2"),
+        (("a", "a"), "1 distinct feature names for 2"),
+        (("a", ""), "whitespace"),
+        (("a", "b c"), "whitespace"),
+        (("a\u2028b", "c"), "whitespace"),
+        (("a", 7), "strings"),
+    ])
+    def test_names_the_file_cannot_hold_are_rejected(self, names, message):
+        X = np.arange(16, dtype=float).reshape(8, 2)
+        with pytest.raises(ConfigError, match=message):
+            d.fit_tree(X, np.arange(8.0), feature_names=names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(names=st.lists(st.text(max_size=4), max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_a_tree_fit_accepts_loads_back_from_its_file(names, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, (12, len(names))).astype(float)
+    try:
+        tree = d.fit_tree(X, rng.random(12), max_depth=None, min_samples_leaf=1,
+                          feature_names=tuple(names))
+    except ConfigError:
+        return
+    loaded = d.load_tree(d.save_tree(tree))
+    assert loaded.feature_names == tree.feature_names == tuple(names)
+    assert loaded == tree
+
+
 class TestPredictAndRules:
     def grown(self):
         X = np.array(

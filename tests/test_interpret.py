@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlbac as d
-from dlbac.interpret import IG_CHUNK_ROWS, attribution_to_csv, flip_curve_to_csv
+from dlbac.interpret import attribution_to_csv, flip_curve_to_csv
 from dlbac.errors import ConfigError
+from dlbac.neuralnet import TILE_ROWS
 
 
 def sigmoid(z):
@@ -130,7 +131,7 @@ class TestIntegratedGradients:
             finally:
                 tracemalloc.stop()
 
-        assert peak(64 * IG_CHUNK_ROWS) < 1.5 * peak(2 * IG_CHUNK_ROWS)
+        assert peak(64 * TILE_ROWS) < 1.5 * peak(2 * TILE_ROWS)
 
 
 def ig_oracle(net, x, baseline, op, steps):
@@ -158,7 +159,7 @@ def ig_cases(draw):
     if draw(st.booleans()):
         rows, steps = draw(st.integers(1, 12)), draw(st.integers(1, 400))
     else:
-        rows, steps = draw(st.integers(IG_CHUNK_ROWS - 2, IG_CHUNK_ROWS + 3)), draw(st.integers(1, 3))
+        rows, steps = draw(st.integers(TILE_ROWS - 2, TILE_ROWS + 3)), draw(st.integers(1, 3))
     shape = (width,) if rows == 1 and draw(st.booleans()) else (rows, width)
     x = rng.normal(0.0, 1.0, size=shape)
     baseline = rng.normal(0.0, 1.0, size=shape)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 import dlbac as d
 import dlbac.neuralnet as nn
 from dlbac.errors import ConfigError, FormatError
-from dlbac.interpret import IG_CHUNK_ROWS
-from dlbac.neuralnet import EarlyStopper, _sigmoid
+from dlbac.neuralnet import TILE_ROWS, EarlyStopper, _sigmoid
 from dlbac.rng import SplitMix64
 
 
@@ -468,7 +467,7 @@ def test_short_training_and_its_network_outputs_are_pinned():
     for op in range(dset.num_ops):
         outputs += [d.input_gradient(net, X, op), d.input_gradient(net, X[0], op)]
         outputs.append(d.integrated_gradients(net, X, np.zeros_like(X), op, steps=32))
-    assert X.shape[0] * 32 > IG_CHUNK_ROWS  # the IG pass spans several batches
+    assert X.shape[0] * 32 > TILE_ROWS  # the IG pass spans several batches
     assert _sha16(b"".join(o.tobytes() for o in outputs)) == "6ac3c1fe97c9f4b8"
 
 
@@ -685,6 +684,22 @@ class TestOneRowKernel:
             assert np.abs(d.forward(net, x) - dense).max() <= 1e-15
 
 
+def test_a_batch_past_8192_rows_gives_each_row_its_own_bits(batch_invariant_blas):
+    # OpenBLAS 0.3.31 multiplies 8,192 rows and more in another order than a
+    # tile of at most TILE_ROWS rows, so only the tile loop keeps these bits
+    rng = np.random.default_rng(18)
+    n, fields, values = 9000, 16, 21
+    net = d.init_network(d.NetworkConfig(fields * values, 4, init_seed=18))
+    batch_invariant_blas(net)
+    C = np.arange(fields) * values + rng.integers(0, values, (n, fields))
+    X = np.zeros((n, fields * values))
+    X[np.arange(n)[:, None], C] = 1.0
+    P = d.forward(net, X)
+    assert P.tobytes() == d.forward_active(net, C).tobytes()
+    for i in rng.choice(n, 40, replace=False):
+        assert d.forward(net, X[i]).tobytes() == P[i].tobytes()
+
+
 def _columns(X):
     """The active columns of 0/1 rows, padded at the end with -1."""
     width = max([int(row.sum()) for row in X], default=0)
@@ -744,16 +759,16 @@ class TestForwardActive:
         C = _columns(X[np.arange(n) % len(X)])
         assert d.forward_active(net, C).shape == (n, net.config.num_ops)
         assert d.forward(net, X[np.arange(n) % len(X)]).shape == (n, net.config.num_ops)
-        assert rows == seen + [(n + 3) // 4 * 4]
+        assert rows == seen + seen
 
-    @pytest.mark.parametrize("ops, seen", [(4, [2, 2, 3, 5]), (3, [4, 4, 4, 8])])
-    def test_only_narrow_layers_pad_to_whole_blocks(self, monkeypatch, ops, seen):
+    @pytest.mark.parametrize("ops", [4, 3])
+    def test_every_network_pads_to_whole_blocks(self, monkeypatch, ops):
         net = tiny_net(input_width=6, num_ops=ops, hidden=(8, 5))
         rows, layers = [], nn._layers
         monkeypatch.setattr(nn, "_layers", lambda net, z0: rows.append(len(z0)) or layers(net, z0))
         for n in (1, 2, 3, 5):
             d.forward_active(net, np.zeros((n, 2), dtype=np.intp))
-        assert rows == seen
+        assert rows == [4, 4, 4, 8]
 
     def test_an_empty_row_is_the_bias_walk(self, binary_rows):
         net, X = binary_rows
