@@ -17,16 +17,18 @@ sending or reading gives its slot back.  At most `MAX_CONNECTIONS`
 connections are served at once; one more is answered `ERR server busy` and
 closed.
 
-A decision is two steps: resolve the request and score the resolved rows.
-Resolving checks, in order, the op range, the encoder's layout against the
-store, the user, the resource and the encoder's width against the network.
-All the `DECIDE` lines of one `recv` are scored in one `forward_active`,
-which cuts and pads them into the tiles every `forward` uses, and whose
-layer 0 gives every row the bits of a dense `forward`.  So a reply depends
-on its batch only through the BLAS.  Where the BLAS gives a row of a
-padded tile the same bits in every tile, as OpenBLAS 0.3.31 does for the
-default hidden widths, a reply does not depend on the lines that shared
-its batch and equals its pair's row of a dense `forward` of any batch.
+A request is checked, in order, for its op range, the encoder's layout
+against the store, its user, its resource and the encoder's width against
+the network.  Layout and width are the same for every request of a batch,
+so they are checked once, at its first `DECIDE` whose op is in range: a
+batch without one builds nothing in the store.  The `DECIDE` lines of one
+`recv` that pass are scored in one `forward_active`, which cuts and pads
+them into the tiles every `forward` uses and whose layer 0 gives every row
+the bits of a dense `forward`, and one pick takes each row's op.  So a
+reply depends on its batch only through the BLAS.  Where the BLAS gives a
+row of a padded tile the same bits in every tile, as OpenBLAS 0.3.31 does
+for the default hidden widths, a reply does not depend on the lines that
+shared its batch and equals its pair's row of a dense `forward` of any batch.
 
 A pair's metadata is one row of positions, user positions first.  A store
 lists each user's active input columns (from position 0) and each
@@ -64,13 +66,6 @@ class Decision:
     probability: float
     granted: bool
     threshold: float
-
-
-def _find(table: dict, key: int, kind: str):
-    try:
-        return table[key]
-    except KeyError:
-        raise NotFoundError(f"unknown {kind} {key}") from None
 
 
 class MetadataStore:
@@ -119,7 +114,10 @@ class MetadataStore:
     def locate(self, uid: int, rid: int) -> tuple[int, int]:
         """The rows of the pair's user and resource; an unknown user is named first."""
         users, resources = self._row_of
-        return _find(users, uid, "user"), _find(resources, rid, "resource")
+        i, j = users.get(uid), resources.get(rid)
+        if i is None or j is None:
+            raise NotFoundError(f"unknown user {uid}" if i is None else f"unknown resource {rid}")
+        return i, j
 
     def features(self, encoder: Encoder, uid: int, rid: int) -> np.ndarray:
         """The pair's feature row: its user's encoded row, then its resource's."""
@@ -158,84 +156,90 @@ def build_store(dataset: Dataset) -> MetadataStore:
     return MetadataStore(*sides)
 
 
-def _resolve(net: Network, encoder: Encoder, store: MetadataStore, uid: int, rid: int, op: int):
-    """(user row, resource row, op) of a request.
-
-    Checked in this order: the op range, the encoder's layout against the
-    store, the user, the resource, and the encoder's width against the network.
-    """
-    net.config.check_op(op)
-    store.columns(encoder)
-    rows = store.locate(uid, rid)
-    if encoder.width != net.config.input_width:
-        raise ConfigError("input width does not match the network")
-    return (*rows, op)
+def _batch_checks(net: Network, encoder: Encoder, store: MetadataStore):
+    """(layout error or None, width error or None, uid -> row, rid -> row) of a batch."""
+    try:
+        store.columns(encoder)
+        layout = None
+    except ConfigError as exc:
+        layout = str(exc)
+    width = None if encoder.width == net.config.input_width else (
+        "input width does not match the network")
+    return layout, width, *store._row_of
 
 
-def _score(net: Network, encoder: Encoder, store: MetadataStore, requests) -> list[float]:
-    """The probability of each resolved request, from one `forward_active`."""
+def _refusal(layout, width, uid: int, rid: int, i, j):
+    """(error class, text) of the first check past the op range that a request fails."""
+    if layout or (i is not None and j is not None):
+        return ConfigError, layout or width
+    return NotFoundError, f"unknown user {uid}" if i is None else f"unknown resource {rid}"
+
+
+def _score(net: Network, encoder: Encoder, store: MetadataStore, user_rows, res_rows, ops):
+    """The probability of each request (its user row, resource row and op), in one forward."""
     users, resources = store.columns(encoder)
-    user_rows, res_rows, ops = zip(*requests)
     C = np.concatenate((users.take(user_rows, axis=0), resources.take(res_rows, axis=0)), axis=1)
-    P = forward_active(net, C)
-    return [p[op] for p, op in zip(P.tolist(), ops)]
+    return forward_active(net, C)[np.arange(len(ops)), ops].tolist()
 
 
 def decide(
-    net: Network,
-    encoder: Encoder,
-    store: MetadataStore,
-    uid: int,
-    rid: int,
-    op: int,
+    net: Network, encoder: Encoder, store: MetadataStore, uid: int, rid: int, op: int,
     threshold: float = 0.5,
 ) -> Decision:
     """Grant iff the network's probability for op strictly exceeds the threshold."""
-    prob = _score(net, encoder, store, [_resolve(net, encoder, store, uid, rid, op)])[0]
+    net.config.check_op(op)
+    layout, width, users, resources = _batch_checks(net, encoder, store)
+    i, j = users.get(uid), resources.get(rid)
+    if layout or width or i is None or j is None:
+        error, text = _refusal(layout, width, uid, rid, i, j)
+        raise error(text)
+    prob = _score(net, encoder, store, [i], [j], [op])[0]
     return Decision(op, prob, prob > threshold, threshold)
 
 
+def _reply(granted: bool, probability: float) -> str:
+    return ("GRANT %.6f" if granted else "DENY %.6f") % probability
+
+
 def format_decision(d: Decision) -> str:
-    verdict = "GRANT" if d.granted else "DENY"
-    return f"{verdict} {d.probability:.6f}"
+    return _reply(d.granted, d.probability)
 
 
 _DECIDE = re.compile(r"DECIDE\s+(-?[0-9]+)\s+(-?[0-9]+)\s+(-?[0-9]+)", re.ASCII)
 
 
-def _request(line: str):
-    """(uid, rid, op) of a `DECIDE` line, or the reply to any other line."""
-    line = line.strip(string.whitespace)
-    if line == "PING":
-        return "PONG"
-    m = _DECIDE.fullmatch(line)
-    if m is None:
-        return "ERR malformed request"
-    try:
-        return int(m[1]), int(m[2]), int(m[3])
-    except ValueError:  # more digits than int() converts
-        return "ERR malformed request"
-
-
 def handle_lines(
     lines: list[str], net: Network, encoder: Encoder, store: MetadataStore, threshold: float
 ) -> list[str]:
-    """One reply per input line, in order; every resolved `DECIDE` is scored in one batch."""
-    replies, pending, slots = [], [], []  # slots[k]: the reply to pending[k]
+    """One reply per input line, in order; every valid `DECIDE` is scored in one batch."""
+    replies, pending, num_ops, clean = [], [], net.config.num_ops, None
     for line in lines:
-        reply = _request(line)
-        if isinstance(reply, tuple):
-            try:
-                pending.append(_resolve(net, encoder, store, *reply))
-                slots.append(len(replies))
-                reply = None
-            except (NotFoundError, ConfigError) as exc:
-                reply = f"ERR {exc}"
-        replies.append(reply)
+        line = line.strip(string.whitespace)
+        m = _DECIDE.fullmatch(line)
+        if m is None:
+            replies.append("PONG" if line == "PING" else "ERR malformed request")
+            continue
+        try:
+            uid, rid, op = int(m[1]), int(m[2]), int(m[3])
+        except ValueError:  # more digits than int() converts
+            replies.append("ERR malformed request")
+            continue
+        if not 0 <= op < num_ops:
+            replies.append(f"ERR operation index {op} out of range")
+            continue
+        if clean is None:  # the batch's first DECIDE whose op is in range
+            layout, width, users, resources = _batch_checks(net, encoder, store)
+            clean = not (layout or width)
+        i, j = users.get(uid), resources.get(rid)
+        if clean and i is not None and j is not None:
+            pending.append((len(replies), i, j, op))
+            replies.append(None)
+        else:
+            replies.append("ERR " + _refusal(layout, width, uid, rid, i, j)[1])
     if pending:
-        probs = _score(net, encoder, store, pending)
-        for k, (_, _, op), p in zip(slots, pending, probs):
-            replies[k] = format_decision(Decision(op, p, p > threshold, threshold))
+        slots, user_rows, res_rows, ops = zip(*pending)
+        for k, p in zip(slots, _score(net, encoder, store, user_rows, res_rows, ops)):
+            replies[k] = _reply(p > threshold, p)
     return replies
 
 
@@ -262,18 +266,15 @@ class _Handler(socketserver.BaseRequestHandler):
                     lines.append(tail)
                     tail = b""
                 n = next((k for k, raw in enumerate(lines) if len(raw) > MAX_LINE), len(lines))
-                replies = handle_lines(
-                    [raw.decode("utf-8", errors="replace") for raw in lines[:n]],
-                    srv.net,
-                    srv.encoder,
-                    srv.store,
-                    srv.threshold,
-                )
+                # "\n" is no part of any UTF-8 sequence: the lines decode as one text
+                text = b"\n".join(lines[:n]).decode("utf-8", errors="replace")
+                replies = handle_lines(text.split("\n") if n else [],
+                                       srv.net, srv.encoder, srv.store, srv.threshold)
                 too_long = n < len(lines) or len(tail) > MAX_LINE
                 if too_long:
                     replies.append("ERR line too long")
                 if replies:
-                    sock.sendall("".join(r + "\n" for r in replies).encode("utf-8"))
+                    sock.sendall(("\n".join(replies) + "\n").encode())
                 if too_long or not data:
                     return
         except TimeoutError:  # idle, or not reading its replies: close without one
@@ -288,10 +289,7 @@ class DecisionServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, address, net, encoder, store, threshold):
         super().__init__(address, _Handler)
-        self.net = net
-        self.encoder = encoder
-        self.store = store
-        self.threshold = threshold
+        self.net, self.encoder, self.store, self.threshold = net, encoder, store, threshold
         self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
 
     def process_request(self, request, client_address):

@@ -58,18 +58,29 @@ class NetworkConfig:
         return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
 
 
+def _aligned_zeros(size: int) -> np.ndarray:
+    """A zeroed float64 vector whose first element starts a 64-byte cache line.
+
+    Where numpy's own allocation lands (any multiple of 16 bytes past a
+    line) moves the time of a one-row decision by a few percent.
+    """
+    buf = np.zeros(size + 7)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start : start + size]
+
+
 class Network:
     """Network parameters, stored as one contiguous float64 vector `flat`.
 
     The layout is model-file order: W0, b0, W1, b1, ...  `weights[l]` (shape
     `(in_l, out_l)`, row-major) and `biases[l]` are views into `flat`, so a
     write through either is a write to `flat`.  Without `flat` the
-    parameters start at zero.
+    parameters start at zero, in a vector that starts a 64-byte cache line.
     """
 
     def __init__(self, config: NetworkConfig, flat: np.ndarray | None = None):
         size = config.num_params
-        flat = np.zeros(size) if flat is None else flat
+        flat = _aligned_zeros(size) if flat is None else flat
         if flat.shape != (size,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
             raise ConfigError(f"flat parameters must be a contiguous float64 vector of {size}")
         self.config = config
@@ -366,10 +377,11 @@ def train(
     Xtr, Ytr = X[tr_idx], Y[tr_idx]
     Xval, Yval = X[val_idx], Y[val_idx]
 
-    work = Network(net.config, net.flat.copy())
+    work, best = Network(net.config), _aligned_zeros(net.flat.size)
+    np.copyto(work.flat, net.flat)
+    np.copyto(best, net.flat)
     state = AdamState(work.flat.size)
     stopper = EarlyStopper(tc.early_stop_patience)
-    best = net.flat.copy()
     report = TrainReport()
 
     n = Xtr.shape[0]

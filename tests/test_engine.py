@@ -332,8 +332,10 @@ def four_op_setup():
     return out, store, pairs
 
 
-def _resolved(net, enc, store, pairs, ops):
-    return [engine._resolve(net, enc, store, u, r, op) for (u, r), op in zip(pairs, ops)]
+def _scored(net, enc, store, pairs, ops):
+    """`engine._score` of the pairs' user rows, resource rows and ops."""
+    user_rows, res_rows = zip(*(store.locate(u, r) for u, r in pairs))
+    return engine._score(net, enc, store, user_rows, res_rows, ops)
 
 
 class TestBatchedScoring:
@@ -351,7 +353,7 @@ class TestBatchedScoring:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         idx, ops = rng.choice(len(pairs), n, replace=False), rng.integers(0, 4, n)
         chosen = [pairs[k] for k in idx]
-        got = engine._score(net, enc, store, _resolved(net, enc, store, chosen, ops))
+        got = _scored(net, enc, store, chosen, ops)
         assert np.array(got).tobytes() == dense[idx, ops].tobytes()
 
     @pytest.mark.parametrize("scheme", ["onehot", "binary"])
@@ -377,8 +379,7 @@ class TestBatchedScoring:
                  for u, r in pairs[::5]]
         assert np.array(alone).tobytes() == dense[::5].tobytes()
         order = np.random.default_rng(5).permutation(len(pairs))[:1027]
-        got = engine._score(net, enc, store,
-                            _resolved(net, enc, store, [pairs[k] for k in order], order % 2))
+        got = _scored(net, enc, store, [pairs[k] for k in order], order % 2)
         assert np.array(got).tobytes() == dense[order, order % 2].tobytes()
 
     @settings(max_examples=20, deadline=None)
@@ -399,7 +400,7 @@ class TestBatchedScoring:
         chosen = [pairs[k] for k in idx]
         ops = rng.integers(0, net.config.num_ops, len(chosen))
         X = np.array([d.encode_pair(enc, *_metadata(store, u, r)) for u, r in chosen])
-        got = engine._score(net, enc, store, _resolved(net, enc, store, chosen, ops))
+        got = _scored(net, enc, store, chosen, ops)
         assert np.array(got).tobytes() == d.forward(net, X)[np.arange(len(X)), ops].tobytes()
 
     def test_lines_are_answered_in_order_as_line_by_line(self, setup):
@@ -427,6 +428,87 @@ class TestBatchedScoring:
         assert replies[1] == replies[2] == (
             "ERR 3 user and 3 resource metadata do not match encoder positions (2 + 4)")
         assert replies[3] == "ERR operation index 5 out of range"
+
+
+_LAYOUT_ERR = "3 user and 3 resource metadata do not match encoder positions (2 + 4)"
+_WIDTH_ERR = "input width does not match the network"
+
+
+def _precedence(request, num_ops, store, layout, width):
+    """The documented order of the checks: the first that fails, or None if none does."""
+    uid, rid, op = request
+    if not 0 <= op < num_ops:
+        return f"operation index {op} out of range"
+    if layout:
+        return _LAYOUT_ERR
+    if uid not in store.uids.tolist():
+        return f"unknown user {uid}"
+    if rid not in store.rids.tolist():
+        return f"unknown resource {rid}"
+    return _WIDTH_ERR if width else None
+
+
+@st.composite
+def mixed_lines(draw, store, num_ops):
+    """(line, (uid, rid, op) or the fixed reply) for a mix of every kind of line."""
+    uid = st.sampled_from(store.uids.tolist()) | st.just(int(store.uids.max()) + 1)
+    rid = st.sampled_from(store.rids.tolist()) | st.just(int(store.rids.min()) - 1)
+    long_op = st.sampled_from([-(10**29), 10**29])  # 30 digits
+    op = st.integers(0, num_ops - 1) | st.integers(-3, num_ops + 2) | long_op
+    sep, pad = st.sampled_from([" ", "\t", "  ", " \t"]), st.sampled_from(["", " ", "\r", "\t "])
+
+    def decide(u, r, o, s, p):
+        return f"{p}DECIDE{s}{u}{s}{r}{s}{o}{p}", (u, r, o)
+
+    decides = st.builds(decide, uid, rid, op, sep, pad)
+    pings = pad.map(lambda p: (f"{p}PING{p}", "PONG"))
+    malformed = st.sampled_from(["", " \t ", "DECIDE 1 2", "DECIDE\xa01\xa02\xa00", "\u2003PING",
+                                 "PING\u2003", "\ufffd", "DECIDE 1 2 \ufffd"])
+    others = malformed.map(lambda line: (line, "ERR malformed request"))
+    return draw(st.lists(decides | decides | pings | others, min_size=1, max_size=40))
+
+
+class TestOnePassOverABatch:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("fit", ["fits", "layout", "width"])
+    def test_a_batch_answers_each_line_as_alone_in_the_documented_order(
+        self, unseen_setup, fit, data
+    ):
+        pairs, store = unseen_setup
+        net, enc = pairs[0]
+        enc = {"fits": enc, "layout": d.Encoder(enc.scheme, 2, 4, enc.seen_values),
+               "width": _resized(enc, 4)}[fit]
+        items = data.draw(mixed_lines(store, net.config.num_ops))
+        lines = [line for line, _ in items]
+        replies = engine.handle_lines(lines, net, enc, store, 0.5)
+        assert replies == [handle_line(line, net, enc, store, 0.5) for line in lines]
+        for (_, request), reply in zip(items, replies):
+            if isinstance(request, str):
+                assert reply == request
+                continue
+            error = _precedence(request, net.config.num_ops, store, fit == "layout",
+                                fit == "width")
+            try:
+                decided = d.format_decision(d.decide(net, enc, store, *request))
+            except (ConfigError, NotFoundError) as exc:
+                assert isinstance(exc, NotFoundError) == str(exc).startswith("unknown ")
+                decided = f"ERR {exc}"
+            assert reply == decided
+            if error is None:
+                assert re.fullmatch(r"(GRANT|DENY) [01]\.[0-9]{6}", reply)
+            else:
+                assert reply == f"ERR {error}"
+
+    def test_pings_build_nothing_in_the_store(self, setup):
+        net, enc, _, dset = setup
+        store = d.build_store(dset)
+        assert engine.handle_lines(["PING", "PING"], net, enc, store, 0.5) == ["PONG", "PONG"]
+        assert store._columns is None and "_row_of" not in vars(store)
+        t = dset.tuples[0]
+        assert handle_line(f"DECIDE {t.uid} {t.rid} 0", net, enc, store, 0.5).startswith(
+            ("GRANT", "DENY"))
+        assert store._columns is not None and store._columns[0] is enc
 
 
 def _resized(enc, change):

@@ -506,6 +506,17 @@ class TestFlatParameters:
         assert net.flat is flat
         assert np.array_equal(net.weights[1], [[6.0], [7.0]])
 
+    def test_init_load_and_train_start_parameters_on_a_cache_line(self):
+        # numpy alone lands 0, 16 or 48 bytes past a line; eight sizes make luck unlikely
+        dset = trainable_dataset()
+        enc = d.build_encoder(dset)
+        tc = d.TrainConfig(epochs=1, val_fraction=0.0)
+        for hidden in range(3, 11):
+            cfg = d.NetworkConfig(enc.width, dset.num_ops, (hidden,), init_seed=hidden)
+            net = d.init_network(cfg)
+            nets = [net, d.load_model(d.save_model(net)), d.train(net, dset, enc, tc)[0]]
+            assert [n.flat.ctypes.data % 64 for n in nets] == [0, 0, 0]
+
     @pytest.mark.parametrize(
         "flat", [np.zeros(8), np.zeros(9, dtype=np.float32), np.zeros(18)[::2]]
     )
