@@ -238,16 +238,11 @@ def _cmd_flip_study(args) -> int:
     hits = np.flatnonzero((data.ids[:, 0] == args.donor_uid) & (data.ids[:, 1] == args.donor_rid))
     if not hits.size:
         raise ConfigError(f"donor ({args.donor_uid}, {args.donor_rid}) not in dataset")
-    i = hits[0]
-    meta, ops, nu = data.M[i].tolist(), tuple(data.Y[i].tolist()), data.num_user_meta
-    donor = ds.AuthorizationTuple(
-        args.donor_uid, args.donor_rid, tuple(meta[:nu]), tuple(meta[nu:]), ops
-    )
     glob = itp.global_explain(
         net, encoder, data, args.op, 1, args.samples, args.seed, args.steps
     )
     order = itp.significance_order(glob)
-    curve = itp.flip_study(net, encoder, data, args.op, donor, order, args.threshold)
+    curve = itp.flip_study(net, encoder, data, args.op, data.M[hits[0]], order, args.threshold)
     _write(args.out, itp.flip_curve_to_csv(curve))
     return 0
 
@@ -269,10 +264,11 @@ def _cmd_distill(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_model_flags(p, store=False):
+def _add_model_flags(p, store=False, threshold=True):
     p.add_argument("--model", required=True, help="model file or train output directory")
     p.add_argument("--encoder", default=None, help="encoder file (defaults beside the model)")
-    p.add_argument("--threshold", type=float, default=0.5)
+    if threshold:
+        p.add_argument("--threshold", type=float, default=0.5)
     if store:
         p.add_argument("--store", required=True, help="dataset file providing id metadata")
 
@@ -330,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("explain", help="integrated-gradients attribution CSV")
-    _add_model_flags(p)
+    _add_model_flags(p, threshold=False)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--local", dest="mode", action="store_const", const="local")
     group.add_argument("--global", dest="mode", action="store_const", const="global")

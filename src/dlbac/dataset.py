@@ -196,13 +196,6 @@ class Dataset:
             for (uid, rid), meta, ops in zip(*rows)
         )
 
-    def meta_matrix(self) -> np.ndarray:
-        """One row of positions per tuple: user metadata, then resource metadata."""
-        return self.M
-
-    def labels_matrix(self) -> np.ndarray:
-        return self.Y
-
 
 def metadata_names(num_user_meta: int, num_res_meta: int) -> list[str]:
     """Column names, user metadata first: umeta0.. then rmeta0.. ."""

@@ -166,7 +166,7 @@ def distill(
     min_samples_leaf: int = 5,
 ) -> DistilledTree:
     """Fit a tree to the network's probabilities over a dataset's raw metadata."""
-    X = dataset.meta_matrix().astype(np.float64)
+    X = dataset.M.astype(np.float64)
     y = soft_labels(net, encoder, dataset, op)
     names = tuple(metadata_names(dataset.num_user_meta, dataset.num_res_meta))
     return fit_tree(X, y, max_depth, min_samples_leaf, names, op_index=op)
@@ -262,7 +262,7 @@ def fidelity(
 ) -> float:
     """Fraction of tuples where tree and network agree after thresholding."""
     net_dec = soft_labels(net, encoder, dataset, op) > threshold
-    tree_dec = _leaf_values(tree, dataset.meta_matrix().astype(np.float64)) > threshold
+    tree_dec = _leaf_values(tree, dataset.M.astype(np.float64)) > threshold
     return float(np.mean(net_dec == tree_dec))
 
 

@@ -77,12 +77,11 @@ def build_encoder(train: Dataset, scheme: str = "onehot") -> Encoder:
     """Category maps from the training tuples only, columns in ascending value order."""
     if len(train) == 0:
         raise ConfigError("cannot build an encoder from an empty dataset")
-    M = train.meta_matrix()
     return Encoder(
         scheme=scheme,
         num_user_meta=train.num_user_meta,
         num_res_meta=train.num_res_meta,
-        seen_values=tuple(tuple(int(v) for v in np.unique(col)) for col in M.T),
+        seen_values=tuple(tuple(int(v) for v in np.unique(col)) for col in train.M.T),
     )
 
 
@@ -173,7 +172,7 @@ def encode_pair(encoder: Encoder, umeta, rmeta) -> np.ndarray:
 
 def encode_dataset(encoder: Encoder, dataset: Dataset) -> np.ndarray:
     encoder.check_layout(dataset.num_user_meta, dataset.num_res_meta)
-    return encode_positions(encoder, dataset.meta_matrix())
+    return encode_positions(encoder, dataset.M)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import AuthorizationTuple, Dataset
+from .dataset import Dataset
 from .encoding import Encoder, encode_dataset, encode_positions
 from .engine import MetadataStore
 from .errors import ConfigError
@@ -96,10 +96,12 @@ def aggregate(feature_scores: np.ndarray, encoder: Encoder) -> np.ndarray:
     return out[0] if single else out
 
 
-def _position_row(encoder: Encoder, t: AuthorizationTuple) -> list[int]:
-    """The tuple's metadata as one row of positions, in the encoder's layout."""
-    encoder.check_layout(len(t.umeta), len(t.rmeta))
-    return list(t.umeta + t.rmeta)
+def _pair_row(encoder: Encoder, row) -> np.ndarray:
+    """`row` as one pair's positions, user then resource, as a row of `Dataset.M`."""
+    row = np.asarray(row)
+    if row.shape != (encoder.num_positions,):
+        raise ConfigError(f"a pair row holds {encoder.num_positions} positions, not {row.shape}")
+    return row
 
 
 def _attribution(
@@ -184,31 +186,32 @@ def flip_study(
     encoder: Encoder,
     dataset: Dataset,
     op: int,
-    donor: AuthorizationTuple,
+    donor: np.ndarray,
     order: list[str],
     threshold: float = 0.5,
 ) -> FlipCurve:
     """Cumulative donor-value replacement over all network-denied tuples.
 
+    `donor` is a granted pair's row of positions, as `dataset.M` holds it.
     After each replacement (in the given order, typically the global
     significance order) the fraction of formerly denied tuples now granted
     is recorded; entry 0 is the unmodified fraction, which is 0 because the
     deny set is defined by the network's own decisions.
     """
     net.config.check_op(op)
-    donor_row = np.array([_position_row(encoder, donor)], dtype=np.int64)
-    if not float(forward(net, encode_positions(encoder, donor_row)[0])[op]) > threshold:
+    donor = _pair_row(encoder, donor)
+    if not float(forward(net, encode_positions(encoder, donor[None, :])[0])[op]) > threshold:
         raise ConfigError("donor tuple is denied for the requested operation")
 
     probs = forward(net, encode_dataset(encoder, dataset))[:, op]
-    M = dataset.meta_matrix()[probs <= threshold]
+    M = dataset.M[probs <= threshold]
     if M.shape[0] == 0:
         raise ConfigError("no denied tuples to flip")
 
     fractions = [0.0]
     for name in order:
         p = _position(encoder, name)
-        M[:, p] = donor_row[0, p]
+        M[:, p] = donor[p]
         probs = forward(net, encode_positions(encoder, M))[:, op]
         fractions.append(float(np.mean(probs > threshold)))
     return FlipCurve(replaced=tuple(order), fractions=tuple(fractions))
@@ -217,8 +220,8 @@ def flip_study(
 def insignificance_check(
     net: Network,
     encoder: Encoder,
-    tup: AuthorizationTuple,
-    donor: AuthorizationTuple,
+    row: np.ndarray,
+    donor: np.ndarray,
     op: int,
     score_threshold: float = 0.05,
     steps: int = 128,
@@ -226,18 +229,17 @@ def insignificance_check(
 ) -> bool:
     """True when replacing all low-attribution metadata leaves the decision unchanged.
 
-    Metadata whose local normalized score is strictly below `score_threshold`
-    (exact zeros included) take the donor's values.
+    `row` and `donor` are pairs' rows of positions, as `Dataset.M` holds
+    them.  Positions whose local normalized score is strictly below
+    `score_threshold` (exact zeros included) take the donor's values, and
+    one two-row `forward` scores the row before and after.
     """
-    meta, donor_meta = _position_row(encoder, tup), _position_row(encoder, donor)
-    x = encode_positions(encoder, [meta])[0]
-    attr = _attribution(net, encoder, x, op, steps)
-    before = float(forward(net, x)[op]) > threshold
-    for p, s in enumerate(attr.metadata_scores):
-        if s < score_threshold:
-            meta[p] = donor_meta[p]
-    after = float(forward(net, encode_positions(encoder, [meta])[0])[op]) > threshold
-    return before == after
+    row, donor = _pair_row(encoder, row), _pair_row(encoder, donor)
+    x = encode_positions(encoder, row[None, :])[0]
+    low = _attribution(net, encoder, x, op, steps).metadata_scores < score_threshold
+    pair = encode_positions(encoder, np.stack((row, np.where(low, donor, row))))
+    before, after = forward(net, pair)[:, op] > threshold
+    return bool(before == after)
 
 
 def attribution_to_csv(attribution: Attribution) -> str:

@@ -96,7 +96,7 @@ def evaluate(
     X = encode_dataset(encoder, test)
     probs = forward(net, X)
     preds = (probs > threshold).astype(np.int64)
-    return score(preds, test.labels_matrix())
+    return score(preds, test.Y)
 
 
 def report_to_csv(report: MetricsReport) -> str:

@@ -362,7 +362,7 @@ def train(
     if len(train_set) == 0:
         raise ConfigError("empty training set")
     X = encode_dataset(encoder, train_set)
-    Y = train_set.labels_matrix().astype(np.float64)
+    Y = train_set.Y.astype(np.float64)
     if X.shape[1] != net.config.input_width:
         raise ConfigError("dataset is inconsistent with the network input width")
 

@@ -162,7 +162,7 @@ def test_criterion_03_weighted_loss_tradeoff():
         num_rules=8, num_ops=1, value_set_sizes=(20,) * 16, seed=10, neg_ratio=0.2,
     )
     dset, *_ = d.synthesize(cfg)
-    grant_share = float(np.mean(dset.labels_matrix()))
+    grant_share = float(np.mean(dset.Y))
     assert grant_share >= 0.80, f"dataset not imbalanced enough: {grant_share:.2f}"
     train, test = d.split_dataset(dset, 0.2, seed=0)
     encoder = d.build_encoder(train)
@@ -328,9 +328,9 @@ def test_criterion_06_planted_rule_attribution(planted_models):
 
 
 def _granted_donor(net, encoder, dset, op):
-    for t in dset.tuples:
-        if float(d.forward(net, d.encode_pair(encoder, t.umeta, t.rmeta))[op]) > 0.5:
-            return t
+    for row in dset.M:
+        if float(d.forward(net, d.encode_positions(encoder, row[None, :])[0])[op]) > 0.5:
+            return row
     raise AssertionError("planted model grants nothing")
 
 
@@ -358,10 +358,10 @@ def test_criterion_08_insignificance_robustness(planted_models):
     net, encoder, dset = planted_models[0]
     donor = _granted_donor(net, encoder, dset, 1)
     rng = d.SplitMix64(1)
-    idx = rng.sample_indices(len(dset.tuples), 200)
+    idx = rng.sample_indices(len(dset), 200)
     changed = sum(
         not d.insignificance_check(
-            net, encoder, dset.tuples[i], donor, 1, score_threshold=1e-12, steps=64
+            net, encoder, dset.M[i], donor, 1, score_threshold=1e-12, steps=64
         )
         for i in idx
     )
@@ -387,7 +387,7 @@ def test_criterion_09_distillation_fidelity(full_scale):
     tree8 = d.distill(net, encoder, train, 0, max_depth=8, min_samples_leaf=5)
     fid8 = d.fidelity(tree8, net, encoder, train, 0)
 
-    X = train.meta_matrix()
+    X = train.M
     _, first = np.unique(X, axis=0, return_index=True)
     unique_train = d.Dataset(
         train.num_user_meta, train.num_res_meta, train.num_ops,

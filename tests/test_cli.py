@@ -306,16 +306,20 @@ class TestDecide:
 
 
 class TestThreshold:
-    @pytest.mark.parametrize("command", ["eval", "decide", "serve"])
+    @pytest.mark.parametrize("command", ["eval", "decide", "serve", "flip-study", "distill"])
     @pytest.mark.parametrize("threshold", ["0", "1", "-0.5", "1.5", "nan"])
     def test_outside_unit_interval_is_single_line_error(
         self, workdir, tmp_path, capsys, command, threshold
     ):
         _, data, model_dir = workdir
+        out = ["--out", str(tmp_path / "out.txt")]
         extra = {
-            "eval": ["--data", str(data), "--out", str(tmp_path / "m.csv")],
+            "eval": ["--data", str(data), *out],
             "decide": ["--store", str(data), "--uid", "0", "--rid", "0", "--op", "0"],
             "serve": ["--store", str(data), "--listen", "127.0.0.1:0"],
+            "flip-study": ["--data", str(data), "--op", "0", "--donor-uid", "0",
+                           "--donor-rid", "0", *out],
+            "distill": ["--data", str(data), "--op", "0", *out],
         }[command]
         rc = main([command, "--model", str(model_dir), "--threshold", threshold, *extra])
         assert rc == 1
@@ -395,6 +399,17 @@ class TestExplain:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_threshold_is_refused(self, workdir, tmp_path, capsys):
+        # explain reads no threshold, so the flag is as unknown as any other
+        _, data, model_dir = workdir
+        out = tmp_path / "gattr.csv"
+        with pytest.raises(SystemExit) as e:
+            main(["explain", "--global", "--model", str(model_dir), "--data", str(data),
+                  "--op", "0", "--threshold", "0.5", "--out", str(out)])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --threshold 0.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_local_without_store_errors(self, workdir, capsys):
         _, data, model_dir = workdir
         rc = main(["explain", "--local", "--model", str(model_dir),
@@ -423,6 +438,25 @@ class TestFlipStudy:
         assert lines[0] == "step,metadata_replaced,fraction_granted"
         assert lines[1] == "0,,0.000000"
 
+    def test_never_builds_a_tuple(self, workdir, tmp_path, monkeypatch):
+        # the donor is the row of positions the dataset holds
+        _, data, model_dir = workdir
+        dset = d.parse_dataset(data.read_text())
+        net = d.load_model((model_dir / "model.txt").read_text())
+        enc = d.load_encoder((model_dir / "encoder.txt").read_text())
+        probs = d.forward(net, d.encode_dataset(enc, dset))[:, 0]
+        uid, rid = dset.ids[int(probs.argmax())]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an AuthorizationTuple was built")
+
+        monkeypatch.setattr(d.dataset, "AuthorizationTuple", refuse)
+        out = tmp_path / "curve.csv"
+        rc = main(["flip-study", "--model", str(model_dir), "--data", str(data),
+                   "--op", "0", "--donor-uid", str(uid), "--donor-rid", str(rid),
+                   "--samples", "5", "--steps", "4", "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().startswith("step,metadata_replaced,fraction_granted\n0,,")
 
     @pytest.mark.parametrize("pick", ["absent uid", "uid and rid of different tuples"])
     def test_donor_not_in_dataset_is_single_line_error(self, workdir, tmp_path, capsys, pick):

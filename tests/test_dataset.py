@@ -772,13 +772,12 @@ class TestInt64Range:
 class TestColumns:
     def test_columns_are_read_only_int64(self):
         dset, *_ = d.synthesize(small_config())
-        assert dset.meta_matrix() is dset.M and dset.labels_matrix() is dset.Y
         for a in (dset.ids, dset.M, dset.Y):
             assert a.dtype == np.int64 and a.flags.c_contiguous and not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            dset.meta_matrix()[0, 0] = 1
+            dset.M[0, 0] = 1
         with pytest.raises(ValueError, match="read-only"):
-            dset.labels_matrix()[0, 0] = 1
+            dset.Y[0, 0] = 1
 
     def test_view_is_built_once(self):
         dset, *_ = d.synthesize(small_config())

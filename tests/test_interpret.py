@@ -255,14 +255,15 @@ class TestExplain:
         assert sorted(order) == sorted(attr.metadata_names)
 
 
-def network_grants(net, enc, t, op, threshold=0.5):
-    return float(d.forward(net, d.encode_pair(enc, t.umeta, t.rmeta))[op]) > threshold
+def network_grants(net, enc, row, op, threshold=0.5):
+    nu = enc.num_user_meta
+    return float(d.forward(net, d.encode_pair(enc, row[:nu], row[nu:]))[op]) > threshold
 
 
 def pick_donor(net, enc, dset, op):
-    for t in dset.tuples:
-        if network_grants(net, enc, t, op):
-            return t
+    for row in dset.M:
+        if network_grants(net, enc, row, op):
+            return row
     raise AssertionError("no granted tuple in fixture dataset")
 
 
@@ -294,43 +295,43 @@ class TestFlipStudy:
 
     def test_denied_donor_rejected(self, trained):
         net, enc, dset = trained
-        denied = next(
-            t for t in dset.tuples if not network_grants(net, enc, t, 0)
-        )
+        denied = next(row for row in dset.M if not network_grants(net, enc, row, 0))
         with pytest.raises(ConfigError, match="donor"):
             d.flip_study(net, enc, dset, 0, denied, list(enc.names))
 
 
 def side_based_flip_study(net, enc, dset, op, donor, order, threshold=0.5):
     """flip_study on separate user and resource matrices."""
-    U = np.array([t.umeta for t in dset.tuples])
-    R = np.array([t.rmeta for t in dset.tuples])
+    nu = enc.num_user_meta
+    U, R = dset.M[:, :nu].copy(), dset.M[:, nu:].copy()
+    donor_u, donor_r = donor[:nu], donor[nu:]
     denied = d.forward(net, d.encode_positions(enc, np.hstack((U, R))))[:, op] <= threshold
     U, R = U[denied], R[denied]
     fractions = [0.0]
     for name in order:
         col = int(name[5:])
         if name.startswith("umeta"):
-            U[:, col] = donor.umeta[col]
+            U[:, col] = donor_u[col]
         else:
-            R[:, col] = donor.rmeta[col]
+            R[:, col] = donor_r[col]
         probs = d.forward(net, d.encode_positions(enc, np.hstack((U, R))))[:, op]
         fractions.append(float(np.mean(probs > threshold)))
     return d.FlipCurve(tuple(order), tuple(fractions))
 
 
-def side_based_insignificance(net, enc, tup, donor, op, score_threshold, steps):
+def side_based_insignificance(net, enc, row, donor, op, score_threshold, steps):
     """insignificance_check on separate user and resource vectors."""
-    x = d.encode_pair(enc, tup.umeta, tup.rmeta)
+    nu = enc.num_user_meta
+    x = d.encode_pair(enc, row[:nu], row[nu:])
     scores = d.aggregate(d.integrated_gradients(net, x, np.zeros_like(x), op, steps), enc)
-    umeta, rmeta = list(tup.umeta), list(tup.rmeta)
+    umeta, rmeta = list(row[:nu]), list(row[nu:])
     for name, s in zip(enc.names, scores):
         if s < score_threshold:
             col = int(name[5:])
             if name.startswith("umeta"):
-                umeta[col] = donor.umeta[col]
+                umeta[col] = donor[col]
             else:
-                rmeta[col] = donor.rmeta[col]
+                rmeta[col] = donor[nu + col]
     after = d.encode_pair(enc, umeta, rmeta)
     return (d.forward(net, x)[op] > 0.5) == (d.forward(net, after)[op] > 0.5)
 
@@ -347,9 +348,9 @@ class TestSideBasedOracle:
     def test_insignificance_check(self, trained):
         net, enc, dset = trained
         donor = pick_donor(net, enc, dset, 0)
-        cases = [(t, s) for t in dset.tuples[:40] for s in (0.05, 0.3, 0.7, 1.1)]
-        got = [d.insignificance_check(net, enc, t, donor, 0, s, steps=8) for t, s in cases]
-        want = [side_based_insignificance(net, enc, t, donor, 0, s, 8) for t, s in cases]
+        cases = [(row, s) for row in dset.M[:40] for s in (0.05, 0.3, 0.7, 1.1)]
+        got = [d.insignificance_check(net, enc, row, donor, 0, s, steps=8) for row, s in cases]
+        want = [side_based_insignificance(net, enc, row, donor, 0, s, 8) for row, s in cases]
         assert got == want
         assert not all(got)  # some replacement moved a decision
 
@@ -363,11 +364,24 @@ class TestSideBasedOracle:
         for call in (
             lambda: d.global_explain(net, enc, other, 0, sample_n=5, steps=4),
             lambda: d.flip_study(net, enc, other, 0, donor, list(enc.names)),
-            lambda: d.flip_study(net, enc, dset, 0, moved[0], list(enc.names)),
-            lambda: d.insignificance_check(net, enc, moved[0], donor, 0, steps=4),
-            lambda: d.insignificance_check(net, enc, dset.tuples[0], moved[0], 0, steps=4),
         ):
             with pytest.raises(ConfigError, match="encoder positions"):
+                call()
+
+    @pytest.mark.parametrize(
+        "bad", [np.arange(7), np.arange(9), np.arange(16).reshape(2, 8)],
+        ids=["7 positions", "9 positions", "two rows"],
+    )
+    def test_other_row_rejected(self, trained, bad):
+        net, enc, dset = trained
+        donor, row = pick_donor(net, enc, dset, 0), dset.M[0]
+        message = r"^a pair row holds 8 positions, not \(\d+,( \d+)?\)$"
+        for call in (
+            lambda: d.flip_study(net, enc, dset, 0, bad, list(enc.names)),
+            lambda: d.insignificance_check(net, enc, bad, donor, 0, steps=4),
+            lambda: d.insignificance_check(net, enc, row, bad, 0, steps=4),
+        ):
+            with pytest.raises(ConfigError, match=message):
                 call()
 
     def test_unknown_name_still_rejected(self, trained):
@@ -382,16 +396,15 @@ class TestInsignificance:
         # score_threshold 0 replaces no metadata at all
         net, enc, dset = trained
         donor = pick_donor(net, enc, dset, 0)
-        t = dset.tuples[0]
         assert d.insignificance_check(
-            net, enc, t, donor, 0, score_threshold=0.0, steps=8
+            net, enc, dset.M[0], donor, 0, score_threshold=0.0, steps=8
         )
 
     def test_full_replacement_moves_to_donor_decision(self, trained):
         # threshold above 1 replaces every column with the donor's values
         net, enc, dset = trained
         donor = pick_donor(net, enc, dset, 0)
-        denied = next(t for t in dset.tuples if not network_grants(net, enc, t, 0))
+        denied = next(row for row in dset.M if not network_grants(net, enc, row, 0))
         changed = not d.insignificance_check(
             net, enc, denied, donor, 0, score_threshold=1.1, steps=8
         )

@@ -420,7 +420,7 @@ class TestTrain:
         SplitMix64(tc.shuffle_seed).shuffle(order)
         val = order[: int(tc.val_fraction * len(order))]
         X = d.encode_dataset(enc, dset)[val]
-        Y = dset.labels_matrix().astype(np.float64)[val]
+        Y = dset.Y.astype(np.float64)[val]
         assert d.loss(d.forward(trained, X), Y) == report.val_losses[report.best_epoch]
 
 
