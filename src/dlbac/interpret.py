@@ -2,8 +2,9 @@
 
 Attribution uses a right-Riemann approximation of the path integral from an
 all-zero baseline (no category active).  Layer 0 is linear along the path,
-so it is applied to the input and the baseline once per call; every (step,
-row) pair then goes through the remaining layers in bounded batches.
+so it is applied to the input and the baseline once per row; each row's
+steps then go through the remaining layers in passes whose shape `steps`
+alone sets, so a pair's attribution is the same alone and in any batch.
 Per-metadata scores sum absolute per-feature scores over the
 metadata's encoder block and are normalized by the maximum block score, so
 a block with zero attribution keeps an exact 0.0 (read as "no impact").
@@ -15,7 +16,7 @@ a donor's writes one position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,8 +24,12 @@ from .dataset import Dataset
 from .encoding import Encoder, encode_dataset, encode_positions
 from .engine import MetadataStore
 from .errors import ConfigError
-from .neuralnet import TILE_ROWS, Network, _dprob_dz0, _rows, forward
+from .neuralnet import TILE_ROWS, Network, _dprob_dz0, _gemm, _padded, _rows, forward
 from .rng import SplitMix64
+
+# OpenBLAS 0.3.31 gives a row of layer 3's backward product other bits in a
+# batch of 1-18 rows than in a batch of 1,024, so passes are padded to 20.
+_LEAST_PASS_ROWS = 20
 
 
 @dataclass(frozen=True)
@@ -51,33 +56,38 @@ def integrated_gradients(
     Right-Riemann sum over alpha = k/steps, k = 1..steps, on the path
     B + alpha*D with D = X - B.  Layer 0 is linear in alpha, so its
     pre-activation is (B W0 + b0) + alpha*(D W0), and the summed input
-    gradient is (sum_k dP/dz0_k) W0^T: W0 takes part three times per call,
-    whatever `steps` is.  The (step, row) pairs go through the other layers
-    in batches of at most TILE_ROWS rows, so memory does not grow with
-    `steps` either.
+    gradient is (sum_k dP/dz0_k) W0^T.  A row's steps run in chunks of
+    `chunk = min(steps, TILE_ROWS)`, and a pass through the other layers
+    holds the chunks of TILE_ROWS // chunk whole rows, padded by `_padded`,
+    so memory does not grow with `steps`.  A row's steps are summed in step
+    order (pairwise, by numpy, when layer 0 has one unit) and back-projected
+    with one gemv.  No pass, sum or product depends on the row count, so a
+    row's scores are the same alone and in any batch, wherever the BLAS gives
+    a row of a padded pass the same bits in every pass.
     """
     X, single = _rows(net, x)
     B, _ = _rows(net, baseline)
     if X.shape != B.shape:
         raise ConfigError("input and baseline widths differ")
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ConfigError(f"steps must be a whole number >= 1, not {steps!r}")
     net.config.check_op(op)
     W0 = net.weights[0]
     D = X - B
-    base = B @ W0 + net.biases[0]
-    slope = D @ W0
-    total = np.zeros_like(base)  # sum over steps of dP/dz0
-    rows = max(1, min(X.shape[0], TILE_ROWS))
-    per = TILE_ROWS // rows  # steps per batch
-    for r in range(0, X.shape[0], rows):
-        b, s = base[r : r + rows], slope[r : r + rows]
-        for k in range(1, steps + 1, per):
-            alphas = np.arange(k, min(k + per, steps + 1)) / steps
-            z0 = (b + alphas[:, None, None] * s).reshape(-1, W0.shape[1])
-            dz0 = _dprob_dz0(net, z0, op).reshape(len(alphas), -1, W0.shape[1])
-            total[r : r + rows] += dz0.sum(axis=0)
-    scores = D * (total @ W0.T) / steps
+    total = np.zeros((len(X), W0.shape[1]))  # sum over steps of dP/dz0
+    chunk = min(steps, TILE_ROWS)
+    per = TILE_ROWS // chunk  # whole rows per pass
+    for r in range(0, len(X), per):
+        b, s = _gemm(net, B[r : r + per]), _gemm(net, D[r : r + per])
+        b += net.biases[0]
+        for k in range(1, steps + 1, chunk):
+            alphas = np.arange(k, min(k + chunk, steps + 1)) / steps
+            z0 = s[:, None, :] * alphas[:, None]  # the bits of b + alpha*s, one temporary
+            z0 += b[:, None, :]
+            z0 = z0.reshape(-1, W0.shape[1])
+            dz0 = _dprob_dz0(net, _padded(z0, _LEAST_PASS_ROWS), op)[: len(z0)]
+            total[r : r + per] += dz0.reshape(len(b), len(alphas), -1).sum(axis=1)
+    scores = D * np.matmul(W0, total[:, :, None])[:, :, 0] / steps
     return scores[0] if single else scores
 
 
@@ -154,16 +164,11 @@ def global_explain(
         )
     encoder.check_layout(dataset.num_user_meta, dataset.num_res_meta)
     picks = pool[SplitMix64(seed).sample_indices(len(pool), sample_n)]
-    X = encode_positions(encoder, dataset.M[picks])
-    raw = integrated_gradients(net, X, np.zeros_like(X), op, steps)
-    normalized = aggregate(raw, encoder)
-    return Attribution(
-        feature_scores=raw.mean(axis=0),
-        metadata_scores=normalized.mean(axis=0),
-        metadata_names=tuple(encoder.names),
-        op_index=op,
-        steps=steps,
-        baseline="zero",
+    rows = _attribution(net, encoder, encode_positions(encoder, dataset.M[picks]), op, steps)
+    return replace(
+        rows,
+        feature_scores=rows.feature_scores.mean(axis=0),
+        metadata_scores=rows.metadata_scores.mean(axis=0),
     )
 
 

@@ -181,13 +181,13 @@ def _rows(net: Network, x) -> tuple[np.ndarray, bool]:
 def _tiled(net: Network, rows: np.ndarray, layer0) -> np.ndarray:
     """Probabilities of `rows`; `layer0(net, tile)` gives a tile's layer-0 sums without b0.
 
-    Layers 1..L see at most TILE_ROWS rows at a time, padded to whole blocks
-    of 4 rows with copies of the tile's last row.  numpy multiplies a single
-    row with gemv, which adds in another order than gemm; OpenBLAS 0.3.31
-    gives the rows past a product's last whole block of 4 other bits in a
-    layer of at most 3 outputs, and multiplies 8,192 rows or more in another
-    order.  So a row gets the same bits in every batch wherever the BLAS gives
-    a row of a padded tile the same bits in every tile.
+    Layers 1..L see at most TILE_ROWS rows at a time, padded by `_padded` to
+    whole blocks of 4 rows.  numpy multiplies a single row with gemv, which
+    adds in another order than gemm; OpenBLAS 0.3.31 gives the rows past a
+    product's last whole block of 4 other bits in a layer of at most 3
+    outputs, and multiplies 8,192 rows or more in another order.  So a row
+    gets the same bits in every batch wherever the BLAS gives a row of a
+    padded tile the same bits in every tile.
     """
     n = len(rows)
     if n > TILE_ROWS:  # each slice is one tile
@@ -195,9 +195,14 @@ def _tiled(net: Network, rows: np.ndarray, layer0) -> np.ndarray:
         return np.concatenate([_tiled(net, rows[k : k + TILE_ROWS], layer0) for k in tiles])
     z0 = layer0(net, rows)
     z0 += net.biases[0]
-    if n % 4:  # the last row fills out its block of 4
-        z0 = z0.repeat([1] * (n - 1) + [1 + -n % 4], axis=0)
-    return _sigmoid(_layers(net, z0)[-1])[:n]
+    return _sigmoid(_layers(net, _padded(z0, 0))[-1])[:n]
+
+
+def _padded(rows: np.ndarray, least: int) -> np.ndarray:
+    """`rows` with its last row repeated up to whole blocks of 4, and to at least `least` rows."""
+    n = len(rows)
+    extra = max(n + -n % 4, least) - n
+    return rows.repeat([1] * (n - 1) + [1 + extra], axis=0) if extra else rows
 
 
 def _gemm(net: Network, X: np.ndarray) -> np.ndarray:

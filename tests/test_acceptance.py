@@ -426,6 +426,22 @@ def test_distilled_labels_are_the_served_probabilities(full_scale, batch_invaria
             f"{len(train)} training rows, rows differing per op {differ}")
 
 
+def test_local_explanations_are_rows_of_a_batched_explanation(full_scale, batch_invariant_blas):
+    # a pair's attribution is one set of numbers, whichever call computed it
+    net, encoder, test = full_scale["net"], full_scale["encoder"], full_scale["test"]
+    batch_invariant_blas(net)
+    store = d.build_store(full_scale["dataset"])
+    pairs = test.ids[:40].tolist()
+    X = np.array([store.features(encoder, u, r) for u, r in pairs])
+    batch = d.integrated_gradients(net, X, np.zeros_like(X), 0, 128)
+    differ = sum(
+        not np.array_equal(d.local_explain(net, encoder, store, u, r, 0, 128).feature_scores, row)
+        for (u, r), row in zip(pairs, batch)
+    )
+    verdict("local explanations are batch rows", differ == 0,
+            f"{len(pairs)} test pairs, op 0, 128 steps, rows differing {differ}")
+
+
 def _brute_force_split(X, y, min_leaf):
     n = len(y)
     best = None

@@ -85,19 +85,21 @@ class TestIntegratedGradients:
         assert scores[1] == 0.0
         assert scores[0] != 0.0
 
-    def test_batch_rows_match_single_calls(self, trained):
+    def test_batch_rows_match_single_calls(self, trained, batch_invariant_blas):
         net, enc, dset = trained
+        batch_invariant_blas(net)
         X = d.encode_dataset(enc, dset)[:5]
         B = np.zeros_like(X)
         batch = d.integrated_gradients(net, X, B, 0, steps=8)
         for i in range(5):
             single = d.integrated_gradients(net, X[i], B[i], 0, steps=8)
-            assert np.allclose(batch[i], single, atol=1e-12)
+            assert np.array_equal(batch[i], single)
 
     def test_invalid_steps(self):
         net = linear_net([1.0])
-        with pytest.raises(ConfigError):
-            d.integrated_gradients(net, np.ones(1), np.zeros(1), 0, steps=0)
+        for steps in (0, -3, 2.5, 4.0):
+            with pytest.raises(ConfigError, match="steps"):
+                d.integrated_gradients(net, np.ones(1), np.zeros(1), 0, steps=steps)
 
     @pytest.mark.parametrize("x", [np.ones(2), np.ones((0, 2))], ids=["one-row", "no-rows"])
     def test_op_out_of_range(self, x):
@@ -175,6 +177,30 @@ def test_matches_per_step_oracle(case):
     want = ig_oracle(net, x, baseline, op, steps)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.one_of(st.integers(1, 128), st.just(TILE_ROWS + 476)),
+    zero_baseline=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_row_gets_the_same_bits_in_every_batch(
+    trained, batch_invariant_blas, steps, zero_baseline, seed
+):
+    # default hidden widths: their backward products need the 20-row floor
+    _, enc, dset = trained
+    net = d.init_network(d.NetworkConfig(enc.width, 2, init_seed=1))
+    batch_invariant_blas(net)
+    rng = np.random.default_rng(seed)
+    X = d.encode_dataset(enc, dset)[:16]
+    B = np.zeros_like(X) if zero_baseline else rng.random(X.shape)
+    op = int(rng.integers(net.config.num_ops))
+    full = d.integrated_gradients(net, X, B, op, steps)
+    subset = rng.permutation(len(X))[: rng.integers(1, len(X) + 1)]
+    assert np.array_equal(d.integrated_gradients(net, X[subset], B[subset], op, steps), full[subset])
+    for i in subset:
+        assert np.array_equal(d.integrated_gradients(net, X[i], B[i], op, steps), full[i])
 
 
 class TestAggregate:
