@@ -338,7 +338,7 @@ def _matching(M: np.ndarray, conditions) -> np.ndarray:
     """Row indices of M whose value at each condition's column is among its values."""
     mask = np.ones(len(M), dtype=bool)
     for index, values in conditions:
-        mask &= np.isin(M[:, index], np.array(values, dtype=np.int64))
+        mask &= (M[:, index, None] == np.array(values, dtype=np.int64)).any(axis=1)
     return np.flatnonzero(mask)
 
 
@@ -441,12 +441,60 @@ _HEADER_PREFIX = "dlbac-ds v1"
 
 
 def serialize_dataset(dataset: Dataset) -> str:
-    """Canonical text form: header line then tuples sorted by (uid, rid)."""
+    """Canonical text form: header line then tuples sorted by (uid, rid).
+
+    A line is `str.format` of the template `"{} {} | {} ... | {}"`, one
+    `{}` per column, written by numpy instead: the body is formatted in
+    tiles of `_WRITE_TILE_ROWS` rows, each into one byte buffer.  The text
+    after each column is the template's text between its `{}`s, so a
+    section of width 0 keeps its bars (`1 2 |  |  | `).  A value's digits
+    come from repeated `// 10` of its magnitude, in uint32 when the tile's
+    largest magnitude fits, else in uint64.
+    """
     nu, nr, no = dataset.num_user_meta, dataset.num_res_meta, dataset.num_ops
-    line = " | ".join(" ".join(["{}"] * k) for k in (2, nu, nr, no)).format
+    after = " | ".join(" ".join(["{}"] * k) for k in (2, nu, nr, no)).split("{}")[1:]
+    after[-1] += "\n"
     order = np.lexsort((dataset.ids[:, 1], dataset.ids[:, 0]))  # stable: by (uid, rid)
-    rows = np.hstack((dataset.ids, dataset.M, dataset.Y))[order].tolist()
-    return "\n".join([f"{_HEADER_PREFIX} {nu} {nr} {no}"] + [line(*r) for r in rows]) + "\n"
+    parts = [f"{_HEADER_PREFIX} {nu} {nr} {no}\n".encode()]
+    for at in range(0, len(order), _WRITE_TILE_ROWS):
+        rows = order[at : at + _WRITE_TILE_ROWS]
+        tile = np.hstack((dataset.ids[rows], dataset.M[rows], dataset.Y[rows]))
+        parts.append(_lines(tile, after))
+    body = b"".join(parts)
+    parts.clear()  # the tiles' bytes go before the text is decoded
+    return body.decode("ascii")
+
+
+_WRITE_TILE_ROWS = 1024  # rows per numpy pass of the writer: temporaries of a few hundred KB
+
+
+def _lines(rows: np.ndarray, after: list[str]) -> bytes:
+    """ASCII lines of the int64 `rows`: each value in decimal, followed by after[column]."""
+    negative = rows < 0
+    u = rows.view(np.uint64)
+    magnitude = np.where(negative, -u, u)  # two's complement, so -2**63 gives 2**63
+    top = int(magnitude.max())
+    if top < 2**32:
+        magnitude = magnitude.astype(np.uint32)
+    seps = np.array([len(s) for s in after])
+    length = negative + seps + 1  # sign, separator and a first digit
+    for p in range(1, len(str(top))):
+        length += magnitude >= 10**p
+    end = np.cumsum(length).reshape(length.shape)  # one past each cell's last byte
+    out = np.full(end[-1, -1], ord(" "), dtype=np.uint8)
+    for j, s in enumerate(after):
+        for k, c in enumerate(s):
+            if c != " ":
+                out[end[:, j] - len(s) + k] = ord(c)
+    out[(end - length)[negative]] = ord("-")
+    at, magnitude = (end - seps - 1).ravel(), magnitude.ravel()  # each value's last digit
+    while True:
+        quotient = magnitude // 10
+        out[at] = magnitude - quotient * 10 + ord("0")
+        more = np.flatnonzero(quotient)
+        if not more.size:
+            return out.tobytes()
+        at, magnitude = at[more] - 1, quotient[more]  # the digit before, where one is left
 
 
 _PARSE_TILE_LINES = 1024  # body lines per numpy pass: temporaries of a few hundred KB

@@ -74,14 +74,21 @@ class Encoder:
 
 
 def build_encoder(train: Dataset, scheme: str = "onehot") -> Encoder:
-    """Category maps from the training tuples only, columns in ascending value order."""
+    """Category maps from the training tuples only, columns in ascending value order.
+
+    One sort orders every position's column; a value is seen where it
+    differs from the one above it.
+    """
     if len(train) == 0:
         raise ConfigError("cannot build an encoder from an empty dataset")
+    S = np.sort(train.M, axis=0)
+    new = np.ones(S.shape, dtype=bool)
+    new[1:] = S[1:] != S[:-1]
     return Encoder(
         scheme=scheme,
         num_user_meta=train.num_user_meta,
         num_res_meta=train.num_res_meta,
-        seen_values=tuple(tuple(int(v) for v in np.unique(col)) for col in train.M.T),
+        seen_values=tuple(tuple(col[keep].tolist()) for col, keep in zip(S.T, new.T)),
     )
 
 

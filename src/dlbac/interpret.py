@@ -24,12 +24,10 @@ from .dataset import Dataset
 from .encoding import Encoder, encode_dataset, encode_positions
 from .engine import MetadataStore
 from .errors import ConfigError
-from .neuralnet import TILE_ROWS, Network, _dprob_dz0, _gemm, _padded, _rows, forward
+from .neuralnet import (
+    _LEAST_PASS_ROWS, TILE_ROWS, Network, _dprob_dz0, _gemm, _padded, _rows, forward,
+)
 from .rng import SplitMix64
-
-# OpenBLAS 0.3.31 gives a row of layer 3's backward product other bits in a
-# batch of 1-18 rows than in a batch of 1,024, so passes are padded to 20.
-_LEAST_PASS_ROWS = 20
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,11 @@ def _tiled(net: Network, rows: np.ndarray, layer0) -> np.ndarray:
     return _sigmoid(_layers(net, _padded(z0, 0))[-1])[:n]
 
 
+# OpenBLAS 0.3.31 gives a row of layer 3's backward product other bits in a
+# batch of 1-18 rows than in a batch of 1,024, so backward passes are padded to 20.
+_LEAST_PASS_ROWS = 20
+
+
 def _padded(rows: np.ndarray, least: int) -> np.ndarray:
     """`rows` with its last row repeated up to whole blocks of 4, and to at least `least` rows."""
     n = len(rows)
@@ -304,11 +309,23 @@ def _dprob_dz0(net: Network, z0: np.ndarray, op_index: int) -> np.ndarray:
 
 
 def input_gradient(net: Network, x: np.ndarray, op_index: int) -> np.ndarray:
-    """d(probability of op)/d(input), exact, via the same graph as forward."""
+    """d(probability of op)/d(input), exact, via the same graph as forward.
+
+    Rows pass as in `interpret.integrated_gradients`: layer 0 by `_gemm`,
+    layers 1..L in passes of at most TILE_ROWS rows padded by `_padded` to
+    at least `_LEAST_PASS_ROWS`, and one gemv per row back through W0.  So a
+    row gets the same bits alone and in any batch, wherever the BLAS gives a
+    row of a padded pass the same bits in every pass.
+    """
     X, single = _rows(net, x)
     net.config.check_op(op_index)
     W0 = net.weights[0]
-    grad = _dprob_dz0(net, X @ W0 + net.biases[0], op_index) @ W0.T
+    dz0 = np.empty((len(X), W0.shape[1]))
+    for k in range(0, len(X), TILE_ROWS):
+        z0 = _gemm(net, X[k : k + TILE_ROWS])
+        z0 += net.biases[0]
+        dz0[k : k + len(z0)] = _dprob_dz0(net, _padded(z0, _LEAST_PASS_ROWS), op_index)[: len(z0)]
+    grad = np.matmul(W0, dz0[:, :, None])[:, :, 0]
     return grad[0] if single else grad
 
 

@@ -6,9 +6,9 @@ from dlbac import neuralnet as nn
 # Batch sizes at which a product's rows are compared with the rows of a
 # TILE_ROWS-row product: whole blocks of 4, the only sizes neuralnet
 # multiplies, and for the backward products whole blocks of at least 20,
-# the passes of integrated gradients.  They are stated here rather than read
-# from dlbac, so a wrong padding rule there fails the exact tests instead of
-# skipping them.
+# the passes of integrated gradients and `input_gradient`.  They are stated
+# here rather than read from dlbac, so a wrong padding rule there fails the
+# exact tests instead of skipping them.
 SIZES = (4, 8, 100, nn.TILE_ROWS - 4)
 LAYER0_SIZES = (2, 3, 5, 100)  # layer 0 multiplies unpadded batches of 2 or more
 BACKWARD_SIZES = (20, 24, 100, nn.TILE_ROWS - 4)

@@ -442,6 +442,17 @@ def test_local_explanations_are_rows_of_a_batched_explanation(full_scale, batch_
             f"{len(pairs)} test pairs, op 0, 128 steps, rows differing {differ}")
 
 
+def test_input_gradients_are_rows_of_a_batched_gradient(full_scale, batch_invariant_blas):
+    # a pair's gradient is one set of numbers, whichever call computed it
+    net, encoder, test = full_scale["net"], full_scale["encoder"], full_scale["test"]
+    batch_invariant_blas(net)
+    X = d.encode_dataset(encoder, test)[:40]
+    batch = d.input_gradient(net, X, 0)
+    differ = sum(not np.array_equal(d.input_gradient(net, x, 0), row) for x, row in zip(X, batch))
+    verdict("input gradients are batch rows", differ == 0,
+            f"{len(X)} test rows, op 0, rows differing {differ}")
+
+
 def _brute_force_split(X, y, min_leaf):
     n = len(y)
     best = None

@@ -2,6 +2,7 @@ import array
 import hashlib
 import random
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -182,6 +183,24 @@ class TestEvaluateRule:
         res = (0,) * 8
         assert evaluate_rule(rule, user_match, res) == {1}
         assert evaluate_rule(rule, user_miss, res) == set()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    width=st.integers(1, 4),
+    conditions=st.lists(
+        st.tuples(st.integers(0, 3), st.lists(st.integers(-3, 3), max_size=5)), max_size=4
+    ),
+)
+def test_rule_matching_equals_isin(seed, width, conditions):
+    # conditions of 0, 1 and several values, over a column of few distinct values
+    M = np.random.default_rng(seed).integers(-3, 4, (50, width))
+    conditions = [(index % width, tuple(values)) for index, values in conditions]
+    mask = np.ones(len(M), dtype=bool)
+    for index, values in conditions:
+        mask &= np.isin(M[:, index], np.array(values, dtype=np.int64))
+    assert np.array_equal(dataset._matching(M, conditions), np.flatnonzero(mask))
 
 
 class TestGenerateTuples:
@@ -729,6 +748,65 @@ def datasets(draw):
 @given(datasets())
 def test_parse_serialize_round_trip(dset):
     assert d.parse_dataset(d.serialize_dataset(dset)) == dset
+
+
+def _oracle_serialize(dset: d.Dataset) -> str:
+    """The per-row `str.format` writer that the tiled writer replaced."""
+    nu, nr, no = dset.num_user_meta, dset.num_res_meta, dset.num_ops
+    line = " | ".join(" ".join(["{}"] * k) for k in (2, nu, nr, no)).format
+    order = np.lexsort((dset.ids[:, 1], dset.ids[:, 0]))
+    rows = np.hstack((dset.ids, dset.M, dset.Y))[order].tolist()
+    return "\n".join([f"dlbac-ds v1 {nu} {nr} {no}"] + [line(*r) for r in rows]) + "\n"
+
+
+# around each change of digit count, of sign and of the writer's digit type
+EDGES = (LO, LO + 1, -(10**18), -(2**32), -10, -9, -1, 0, 1, 9, 10, 2**32 - 1, 2**32, 10**18,
+         HI - 1, HI)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    counts=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    n=st.sampled_from([0, 1, dataset._WRITE_TILE_ROWS + 1]),
+    span=st.sampled_from([200, 2**32, 2**63]),
+    seed=st.integers(0, 2**32),
+)
+def test_tiled_writer_equals_the_per_row_oracle(counts, n, span, seed):
+    # values in [-span, span], a fifth of them from EDGES; widths of 0 included.  With
+    # span 2**32 a tile's largest magnitude is 2**32 - 1 (uint32 digits) or 2**32 (uint64)
+    nu, nr, no = counts
+    rng = np.random.default_rng(seed)
+    edges = [e for e in EDGES if -span <= e <= span]
+    def values(k):
+        drawn = rng.integers(-span, span - 1, (n, k), endpoint=True)
+        return np.where(rng.random((n, k)) < 0.2, rng.choice(edges, (n, k)), drawn)
+    rid = rng.permutation(n) - n // 2  # distinct, so every (uid, rid) pair is
+    if span > n:
+        rid[:2] = (1 - span, span - 1)[:n]  # outside the permutation's range
+    ids = np.column_stack((values(1)[:, 0], rid))
+    ids = ids[np.lexsort((ids[:, 1], ids[:, 0]))]  # in file order, as a parsed dataset is
+    dset = d.Dataset._of(nu, nr, no, ids, values(nu + nr), rng.integers(0, 2, (n, no)))
+    text = d.serialize_dataset(dset)
+    assert text == _oracle_serialize(dset)
+    assert d.parse_dataset(text) == dset
+    shuffled = rng.permutation(n)  # the writer sorts the rows by (uid, rid)
+    columns = (a[shuffled] for a in (ids, dset.M, dset.Y))
+    assert d.serialize_dataset(d.Dataset._of(*counts, *columns)) == text
+
+
+def test_writer_keeps_its_temporaries_to_a_tile():
+    # 100,000 rows: past the output, the writer holds its tiles' bytes and one tile's arrays
+    n = 100_000
+    rng = np.random.default_rng(0)
+    ids = np.column_stack((rng.permutation(n), rng.integers(-5, 5, n)))
+    dset = d.Dataset._of(4, 4, 2, ids, rng.integers(-300, 300, (n, 8)), rng.integers(0, 2, (n, 2)))
+    tracemalloc.start()
+    try:
+        text = d.serialize_dataset(dset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)  # the per-row writer peaked near 10 times
 
 
 class TestInt64Range:

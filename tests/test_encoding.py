@@ -148,6 +148,25 @@ class TestBuildEncoder:
         assert enc.seen_values == ((0, 1, 2, 3), (5, 9))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    counts=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    n=st.integers(1, 40),
+    span=st.sampled_from([5, 2**63]),
+    seed=st.integers(0, 2**32),
+)
+def test_seen_values_are_the_unique_values_of_each_column(counts, n, span, seed):
+    # negative and int64-extreme values, repeats, and datasets of 0 positions
+    rng = np.random.default_rng(seed)
+    k = sum(counts)
+    M = rng.integers(-span, span - 1, (n, k), endpoint=True)
+    M = np.where(rng.random((n, k)) < 0.2, rng.choice([-(2**63), -1, 0, 2**63 - 1], (n, k)), M)
+    train = d.Dataset._of(*counts, 1, np.column_stack((np.arange(n), np.arange(n))), M,
+                          np.zeros((n, 1)))
+    expected = tuple(tuple(int(v) for v in np.unique(col)) for col in M.T)
+    assert d.build_encoder(train).seen_values == expected
+
+
 class TestPersistence:
     def test_round_trip(self):
         enc = d.build_encoder(tiny_dataset(), "binary")
