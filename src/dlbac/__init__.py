@@ -84,6 +84,7 @@ from .neuralnet import (
     backward,
     forward,
     forward_active,
+    forward_positions,
     init_network,
     input_gradient,
     load_model,

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, metadata_names
-from .encoding import Encoder, encode_dataset
+from .encoding import Encoder
 from .errors import ConfigError, FormatError
-from .neuralnet import Network, forward
+from .neuralnet import Network, forward_positions
 
 
 @dataclass
@@ -52,7 +52,8 @@ def _node_arrays(nodes: list[list]) -> tuple[np.ndarray, ...]:
 def soft_labels(net: Network, encoder: Encoder, dataset: Dataset, op: int) -> np.ndarray:
     """The network's grant probability for op, one entry per tuple."""
     net.config.check_op(op)
-    return forward(net, encode_dataset(encoder, dataset))[:, op]
+    encoder.check_layout(dataset.num_user_meta, dataset.num_res_meta)
+    return forward_positions(net, encoder, dataset.M)[:, op]
 
 
 def _exact_sse(X: np.ndarray, y: np.ndarray, f: int, thr: float) -> float:
@@ -261,6 +262,13 @@ def fidelity(
     threshold: float = 0.5,
 ) -> float:
     """Fraction of tuples where tree and network agree after thresholding."""
+    if dataset.M.shape[1] != len(tree.feature_names):
+        raise ConfigError(
+            f"dataset has {dataset.M.shape[1]} metadata positions, "
+            f"the tree {len(tree.feature_names)} features"
+        )
+    if op != tree.op_index:
+        raise ConfigError(f"operation {op} differs from the tree's operation {tree.op_index}")
     net_dec = soft_labels(net, encoder, dataset, op) > threshold
     tree_dec = _leaf_values(tree, dataset.M.astype(np.float64)) > threshold
     return float(np.mean(net_dec == tree_dec))

@@ -31,8 +31,17 @@ class Encoder:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown encoding scheme {self.scheme!r}")
+        if self.num_user_meta < 0 or self.num_res_meta < 0:
+            raise ConfigError("negative metadata count")
         if len(self.seen_values) != self.num_positions:
             raise ConfigError("seen_values must cover every metadata position")
+        for p, values in enumerate(self.seen_values):
+            if not values:
+                raise ConfigError(f"no seen values for position {p}")
+            if not all(isinstance(v, (int, np.integer)) for v in values):
+                raise ConfigError(f"seen values for position {p} must be integers")
+            if any(a >= b for a, b in zip(values, values[1:])):
+                raise ConfigError(f"seen values for position {p} are not strictly ascending")
 
     @property
     def num_positions(self) -> int:
@@ -213,7 +222,7 @@ def load_encoder(text: str) -> Encoder:
         num_user_meta, num_res_meta = int(parts[3]), int(parts[4])
     except ValueError:
         raise FormatError("non-integer encoder header field") from None
-    if num_user_meta < 0 or num_res_meta < 0:
+    if num_user_meta < 0 or num_res_meta < 0:  # before the entries are read against them
         raise FormatError("negative metadata count in encoder header")
     per_pos: dict[int, list[tuple[int, int]]] = {}
     for ln in lines[1:]:
@@ -230,12 +239,10 @@ def load_encoder(text: str) -> Encoder:
     seen = []
     for p in range(num_user_meta + num_res_meta):
         entries = sorted(per_pos.get(p, []))
-        if not entries:
-            raise FormatError(f"encoder file truncated: no values for position {p}")
         if [c for c, _ in entries] != list(range(len(entries))):
             raise FormatError(f"encoder file has gaps in columns for position {p}")
-        values = tuple(v for _, v in entries)
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise FormatError(f"encoder values for position {p} are not strictly ascending")
-        seen.append(values)
-    return Encoder(scheme, num_user_meta, num_res_meta, tuple(seen))
+        seen.append(tuple(v for _, v in entries))
+    try:
+        return Encoder(scheme, num_user_meta, num_res_meta, tuple(seen))
+    except ConfigError as exc:
+        raise FormatError(f"bad encoder file: {exc}") from None

@@ -1,10 +1,9 @@
 """Integrated-gradients attribution plus metadata-flipping experiments.
 
 Attribution uses a right-Riemann approximation of the path integral from an
-all-zero baseline (no category active).  Layer 0 is linear along the path,
-so it is applied to the input and the baseline once per row; each row's
-steps then go through the remaining layers in passes whose shape `steps`
-alone sets, so a pair's attribution is the same alone and in any batch.
+all-zero baseline (no category active).  `neuralnet.path_gradient` sums the
+gradients along the path in passes whose shape `steps` alone sets, so a
+pair's attribution is the same alone and in any batch.
 Per-metadata scores sum absolute per-feature scores over the
 metadata's encoder block and are normalized by the maximum block score, so
 a block with zero attribution keeps an exact 0.0 (read as "no impact").
@@ -21,12 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset
-from .encoding import Encoder, encode_dataset, encode_positions
+from .encoding import Encoder, encode_positions
 from .engine import MetadataStore
 from .errors import ConfigError
-from .neuralnet import (
-    _LEAST_PASS_ROWS, TILE_ROWS, Network, _dprob_dz0, _gemm, _padded, _rows, forward,
-)
+from .neuralnet import Network, forward_positions, path_gradient
 from .rng import SplitMix64
 
 
@@ -52,41 +49,13 @@ def integrated_gradients(
     """Per-feature attribution of the op's probability against the baseline.
 
     Right-Riemann sum over alpha = k/steps, k = 1..steps, on the path
-    B + alpha*D with D = X - B.  Layer 0 is linear in alpha, so its
-    pre-activation is (B W0 + b0) + alpha*(D W0), and the summed input
-    gradient is (sum_k dP/dz0_k) W0^T.  A row's steps run in chunks of
-    `chunk = min(steps, TILE_ROWS)`, and a pass through the other layers
-    holds the chunks of TILE_ROWS // chunk whole rows, padded by `_padded`,
-    so memory does not grow with `steps`.  A row's steps are summed in step
-    order (pairwise, by numpy, when layer 0 has one unit) and back-projected
-    with one gemv.  No pass, sum or product depends on the row count, so a
-    row's scores are the same alone and in any batch, wherever the BLAS gives
-    a row of a padded pass the same bits in every pass.
+    B + alpha*D with D = X - B: D times `path_gradient`'s summed gradient,
+    over steps.  Its passes make a row's scores the same alone and in any
+    batch.
     """
-    X, single = _rows(net, x)
-    B, _ = _rows(net, baseline)
-    if X.shape != B.shape:
-        raise ConfigError("input and baseline widths differ")
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ConfigError(f"steps must be a whole number >= 1, not {steps!r}")
-    net.config.check_op(op)
-    W0 = net.weights[0]
-    D = X - B
-    total = np.zeros((len(X), W0.shape[1]))  # sum over steps of dP/dz0
-    chunk = min(steps, TILE_ROWS)
-    per = TILE_ROWS // chunk  # whole rows per pass
-    for r in range(0, len(X), per):
-        b, s = _gemm(net, B[r : r + per]), _gemm(net, D[r : r + per])
-        b += net.biases[0]
-        for k in range(1, steps + 1, chunk):
-            alphas = np.arange(k, min(k + chunk, steps + 1)) / steps
-            z0 = s[:, None, :] * alphas[:, None]  # the bits of b + alpha*s, one temporary
-            z0 += b[:, None, :]
-            z0 = z0.reshape(-1, W0.shape[1])
-            dz0 = _dprob_dz0(net, _padded(z0, _LEAST_PASS_ROWS), op)[: len(z0)]
-            total[r : r + per] += dz0.reshape(len(b), len(alphas), -1).sum(axis=1)
-    scores = D * np.matmul(W0, total[:, :, None])[:, :, 0] / steps
-    return scores[0] if single else scores
+    grad = path_gradient(net, x, baseline, op, steps)
+    D = np.asarray(x, dtype=np.float64) - np.asarray(baseline, dtype=np.float64)
+    return D * grad / steps
 
 
 def aggregate(feature_scores: np.ndarray, encoder: Encoder) -> np.ndarray:
@@ -202,11 +171,12 @@ def flip_study(
     deny set is defined by the network's own decisions.
     """
     net.config.check_op(op)
+    encoder.check_layout(dataset.num_user_meta, dataset.num_res_meta)
     donor = _pair_row(encoder, donor)
-    if not float(forward(net, encode_positions(encoder, donor[None, :])[0])[op]) > threshold:
+    if not float(forward_positions(net, encoder, donor[None, :])[0, op]) > threshold:
         raise ConfigError("donor tuple is denied for the requested operation")
 
-    probs = forward(net, encode_dataset(encoder, dataset))[:, op]
+    probs = forward_positions(net, encoder, dataset.M)[:, op]
     M = dataset.M[probs <= threshold]
     if M.shape[0] == 0:
         raise ConfigError("no denied tuples to flip")
@@ -215,7 +185,7 @@ def flip_study(
     for name in order:
         p = _position(encoder, name)
         M[:, p] = donor[p]
-        probs = forward(net, encode_positions(encoder, M))[:, op]
+        probs = forward_positions(net, encoder, M)[:, op]
         fractions.append(float(np.mean(probs > threshold)))
     return FlipCurve(replaced=tuple(order), fractions=tuple(fractions))
 
@@ -235,13 +205,13 @@ def insignificance_check(
     `row` and `donor` are pairs' rows of positions, as `Dataset.M` holds
     them.  Positions whose local normalized score is strictly below
     `score_threshold` (exact zeros included) take the donor's values, and
-    one two-row `forward` scores the row before and after.
+    one two-row `forward_positions` scores the row before and after.
     """
     row, donor = _pair_row(encoder, row), _pair_row(encoder, donor)
     x = encode_positions(encoder, row[None, :])[0]
     low = _attribution(net, encoder, x, op, steps).metadata_scores < score_threshold
-    pair = encode_positions(encoder, np.stack((row, np.where(low, donor, row))))
-    before, after = forward(net, pair)[:, op] > threshold
+    pair = np.stack((row, np.where(low, donor, row)))
+    before, after = forward_positions(net, encoder, pair)[:, op] > threshold
     return bool(before == after)
 
 

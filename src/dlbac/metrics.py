@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .encoding import Encoder, encode_dataset
+from .encoding import Encoder
 from .errors import ConfigError
-from .neuralnet import Network, forward
+from .neuralnet import Network, forward_positions
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ def evaluate(
 ) -> MetricsReport:
     """Score thresholded network predictions against the dataset labels."""
     net.config.check_dataset_ops(test.num_ops)
-    X = encode_dataset(encoder, test)
-    probs = forward(net, X)
+    encoder.check_layout(test.num_user_meta, test.num_res_meta)
+    probs = forward_positions(net, encoder, test.M)
     preds = (probs > threshold).astype(np.int64)
     return score(preds, test.Y)
 

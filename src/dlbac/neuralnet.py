@@ -14,12 +14,12 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import Dataset
-from .encoding import Encoder, encode_dataset
+from .encoding import Encoder, encode_positions
 from .errors import ConfigError, FormatError
 from .rng import SplitMix64
 
 PROB_EPS = 1e-12  # clamp for log() in the loss
-TILE_ROWS = 1024  # rows in one pass through layers 1..L: every forward, integrated gradients
+TILE_ROWS = 1024  # rows in one pass through layers 1..L, and in one encoded tile of positions
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam (Kingma & Ba, 2015) defaults
 
 
@@ -245,6 +245,29 @@ def forward_active(net: Network, C: np.ndarray) -> np.ndarray:
     return _tiled(net, C, _gather)
 
 
+def _check_width(net: Network, encoder: Encoder) -> None:
+    if encoder.width != net.config.input_width:
+        raise ConfigError(
+            f"encoder width {encoder.width} differs from the network input width "
+            f"{net.config.input_width}"
+        )
+
+
+def forward_positions(net: Network, encoder: Encoder, M) -> np.ndarray:
+    """`forward` of the encoded rows of M, each a pair's positions as `Dataset.M` holds them.
+
+    The bulk scoring path: each tile of `_tiled` is encoded just before its
+    layer 0, so no dense input holds more than TILE_ROWS rows.  The tiles
+    are the row slices `forward` cuts, so every row gets the bits of
+    `forward(net, encode_positions(encoder, M))`.
+    """
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[1] != encoder.num_positions:
+        raise ConfigError(f"position rows must form a matrix of {encoder.num_positions} columns")
+    _check_width(net, encoder)
+    return _tiled(net, M, lambda net, tile: _gemm(net, encode_positions(encoder, tile)))
+
+
 def loss(
     probs: np.ndarray, labels: np.ndarray, class_weights: tuple[float, float] = (1.0, 1.0)
 ) -> float:
@@ -308,25 +331,53 @@ def _dprob_dz0(net: Network, z0: np.ndarray, op_index: int) -> np.ndarray:
     return delta
 
 
-def input_gradient(net: Network, x: np.ndarray, op_index: int) -> np.ndarray:
-    """d(probability of op)/d(input), exact, via the same graph as forward.
+def path_gradient(
+    net: Network, x: np.ndarray, baseline: np.ndarray, op_index: int, steps: int
+) -> np.ndarray:
+    """Sum over k = 1..steps of d(probability of op)/d(input) at B + (k/steps)*D.
 
-    Rows pass as in `interpret.integrated_gradients`: layer 0 by `_gemm`,
-    layers 1..L in passes of at most TILE_ROWS rows padded by `_padded` to
-    at least `_LEAST_PASS_ROWS`, and one gemv per row back through W0.  So a
-    row gets the same bits alone and in any batch, wherever the BLAS gives a
-    row of a padded pass the same bits in every pass.
+    D = X - B, one row per row of x.  Layer 0 is linear in k, so its
+    pre-activation is (B W0 + b0) + (k/steps)*(D W0), and the summed input
+    gradient is (sum_k dP/dz0_k) W0^T.  A row's steps run in chunks of
+    `chunk = min(steps, TILE_ROWS)`, and a pass through the other layers
+    holds the chunks of TILE_ROWS // chunk whole rows, padded by `_padded`
+    to at least `_LEAST_PASS_ROWS`, so memory does not grow with `steps`.
+    A row's steps are summed in step order (pairwise, by numpy, when layer 0
+    has one unit) and back-projected with one gemv.  No pass, sum or product
+    depends on the row count, so a row's sum is the same alone and in any
+    batch, wherever the BLAS gives a row of a padded pass the same bits in
+    every pass.
     """
     X, single = _rows(net, x)
+    B, _ = _rows(net, baseline)
+    if np.shape(x) != np.shape(baseline):
+        raise ConfigError("input and baseline shapes differ")
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ConfigError(f"steps must be a whole number >= 1, not {steps!r}")
     net.config.check_op(op_index)
     W0 = net.weights[0]
-    dz0 = np.empty((len(X), W0.shape[1]))
-    for k in range(0, len(X), TILE_ROWS):
-        z0 = _gemm(net, X[k : k + TILE_ROWS])
-        z0 += net.biases[0]
-        dz0[k : k + len(z0)] = _dprob_dz0(net, _padded(z0, _LEAST_PASS_ROWS), op_index)[: len(z0)]
-    grad = np.matmul(W0, dz0[:, :, None])[:, :, 0]
+    D = X - B
+    total = np.zeros((len(X), W0.shape[1]))  # sum over steps of dP/dz0
+    chunk = min(steps, TILE_ROWS)
+    per = TILE_ROWS // chunk  # whole rows per pass
+    for r in range(0, len(X), per):
+        b, s = _gemm(net, B[r : r + per]), _gemm(net, D[r : r + per])
+        b += net.biases[0]
+        for k in range(1, steps + 1, chunk):
+            alphas = np.arange(k, min(k + chunk, steps + 1)) / steps
+            z0 = s[:, None, :] * alphas[:, None]  # the bits of b + alpha*s, one temporary
+            z0 += b[:, None, :]
+            z0 = z0.reshape(-1, W0.shape[1])
+            dz0 = _dprob_dz0(net, _padded(z0, _LEAST_PASS_ROWS), op_index)[: len(z0)]
+            total[r : r + per] += dz0.reshape(len(b), len(alphas), -1).sum(axis=1)
+    grad = np.matmul(W0, total[:, :, None])[:, :, 0]
     return grad[0] if single else grad
+
+
+def input_gradient(net: Network, x: np.ndarray, op_index: int) -> np.ndarray:
+    """d(probability of op)/d(input), exact: `path_gradient` from a zero baseline in one step."""
+    X = np.asarray(x, dtype=np.float64)
+    return path_gradient(net, X, np.zeros_like(X), op_index, 1)
 
 
 def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
@@ -379,25 +430,26 @@ def train(
 
     Adam updates a working copy of `net.flat` in place.  A `val_fraction`
     carve-out of the training tuples is the early-stopping monitor; the
-    returned network holds the best-validation-epoch parameters.
+    returned network holds the best-validation-epoch parameters.  Training
+    keeps position rows, not encoded ones: each epoch encodes its shuffled
+    rows a tile of whole mini-batches at a time.
     """
     if len(train_set) == 0:
         raise ConfigError("empty training set")
-    X = encode_dataset(encoder, train_set)
-    Y = train_set.Y.astype(np.float64)
-    if X.shape[1] != net.config.input_width:
-        raise ConfigError("dataset is inconsistent with the network input width")
+    encoder.check_layout(train_set.num_user_meta, train_set.num_res_meta)
+    _check_width(net, encoder)
+    M, Y = train_set.M, train_set.Y.astype(np.float64)
 
     rng = SplitMix64(tc.shuffle_seed)
-    order = list(range(X.shape[0]))
+    order = list(range(len(train_set)))
     rng.shuffle(order)
     n_val = int(tc.val_fraction * len(order))
     val_idx = order[:n_val]
     tr_idx = order[n_val:]
     if not tr_idx:
         raise ConfigError("val_fraction leaves no training samples")
-    Xtr, Ytr = X[tr_idx], Y[tr_idx]
-    Xval, Yval = X[val_idx], Y[val_idx]
+    Mtr, Ytr = M[tr_idx], Y[tr_idx]
+    Mval, Yval = M[val_idx], Y[val_idx]
 
     work, best = Network(net.config), _aligned_zeros(net.flat.size)
     np.copyto(work.flat, net.flat)
@@ -406,21 +458,25 @@ def train(
     stopper = EarlyStopper(tc.early_stop_patience)
     report = TrainReport()
 
-    n = Xtr.shape[0]
+    n = len(tr_idx)
     batch_order = list(range(n))
+    span = tc.batch_size * max(1, TILE_ROWS // tc.batch_size)  # whole batches per tile
     for epoch in range(tc.epochs):
         lr = tc.lr0 / (10.0 ** (epoch // tc.lr_decay_epochs))
         rng.shuffle(batch_order)
         epoch_loss = 0.0
-        for start in range(0, n, tc.batch_size):
-            idx = batch_order[start : start + tc.batch_size]
-            grad, batch_loss = _loss_grads(work, Xtr[idx], Ytr[idx], tc.class_weights)
-            adam_step(work.flat, grad.flat, state, lr)
-            epoch_loss += batch_loss * len(idx)
+        for first in range(0, n, span):
+            tile = batch_order[first : first + span]
+            X, Yt = encode_positions(encoder, Mtr[tile]), Ytr[tile]
+            for start in range(0, len(tile), tc.batch_size):
+                xb, yb = X[start : start + tc.batch_size], Yt[start : start + tc.batch_size]
+                grad, batch_loss = _loss_grads(work, xb, yb, tc.class_weights)
+                adam_step(work.flat, grad.flat, state, lr)
+                epoch_loss += batch_loss * len(yb)
         epoch_loss /= n
 
         if len(val_idx) > 0:
-            val_loss = loss(forward(work, Xval), Yval, tc.class_weights)
+            val_loss = loss(forward_positions(work, encoder, Mval), Yval, tc.class_weights)
         else:
             val_loss = epoch_loss
 

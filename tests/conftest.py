@@ -6,7 +6,8 @@ from dlbac import neuralnet as nn
 # Batch sizes at which a product's rows are compared with the rows of a
 # TILE_ROWS-row product: whole blocks of 4, the only sizes neuralnet
 # multiplies, and for the backward products whole blocks of at least 20,
-# the passes of integrated gradients and `input_gradient`.  They are stated
+# the passes of `neuralnet.path_gradient`, which integrated gradients and
+# `input_gradient` share.  They are stated
 # here rather than read from dlbac, so a wrong padding rule there fails the
 # exact tests instead of skipping them.
 SIZES = (4, 8, 100, nn.TILE_ROWS - 4)

@@ -255,6 +255,18 @@ class TestDistill:
         tree = d.distill(net, enc, dset, 0, max_depth=8, min_samples_leaf=1)
         assert d.fidelity(tree, net, enc, dset, 0) >= 0.9
 
+    def test_fidelity_rejects_another_layout(self, trained):
+        net, enc, dset = trained
+        tree = d.fit_tree(dset.M[:, :2], d.soft_labels(net, enc, dset, 0), max_depth=2)
+        with pytest.raises(ConfigError, match="8 metadata positions, the tree 2 features"):
+            d.fidelity(tree, net, enc, dset, 0)
+
+    def test_fidelity_rejects_another_op(self, trained):
+        net, enc, dset = trained
+        tree = d.distill(net, enc, dset, 0, max_depth=2)
+        with pytest.raises(ConfigError, match="operation 1 differs from the tree's operation 0"):
+            d.fidelity(tree, net, enc, dset, 1)
+
     def test_deeper_trees_fit_at_least_as_well(self, trained):
         net, enc, dset = trained
         shallow = d.distill(net, enc, dset, 0, max_depth=2)

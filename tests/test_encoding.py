@@ -167,6 +167,32 @@ def test_seen_values_are_the_unique_values_of_each_column(counts, n, span, seed)
     assert d.build_encoder(train).seen_values == expected
 
 
+class TestEncoderInvariants:
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            # the seen value 2 would encode as unknown
+            (("onehot", 1, 1, ((5, 2, 9), (1, 3))), "ascending"),
+            (("onehot", 1, 1, ((5, 5), (1, 3))), "ascending"),
+            # the never-seen value 1 would take the column of 1.5
+            (("onehot", 1, 1, ((1.5, 2), (1, 3))), "integers"),
+            (("binary", 1, 1, (("1", "2"), (1, 3))), "integers"),
+            # three names for two positions
+            (("onehot", -1, 3, ((1,), (2,))), "negative"),
+            # an empty block has no unknown column to fall back on
+            (("onehot", 1, 1, ((), (1, 3))), "position 0"),
+            (("binary", 1, 1, ((1,), ())), "position 1"),
+        ],
+    )
+    def test_bad_encoder_rejected(self, args, match):
+        with pytest.raises(ConfigError, match=match):
+            d.Encoder(*args)
+
+    def test_numpy_integers_and_no_positions_accepted(self):
+        enc = d.Encoder("onehot", 1, 0, ((np.int64(-3), np.int64(4)),))
+        assert enc.width == 3 and d.Encoder("binary", 0, 0, ()).width == 0
+
+
 class TestPersistence:
     def test_round_trip(self):
         enc = d.build_encoder(tiny_dataset(), "binary")

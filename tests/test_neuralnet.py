@@ -824,3 +824,116 @@ class TestForwardActive:
         net, X = trained_rows
         assert d.forward_active(net, np.zeros((0, 8), dtype=np.intp)).shape == (0, 2)
         assert d.forward(net, X[:0]).shape == (0, 2)
+
+
+def wide_dataset():
+    """2,592 tuples: more training rows than a tile, whatever the batch size."""
+    cfg = d.SynthConfig(
+        num_users=400, num_resources=400, num_user_meta=4, num_res_meta=4,
+        num_rules=6, num_ops=2, value_set_sizes=(6,) * 8, seed=5,
+        visible_user_meta=4, visible_res_meta=4, neg_ratio=1.0,
+    )
+    return d.synthesize(cfg)[0]
+
+
+@pytest.fixture(scope="module")
+def position_nets():
+    """Per scheme, a network and an encoder that saw 30 rows: other rows hold unseen values."""
+    dset = wide_dataset()
+    seen = d.Dataset._of(4, 4, 2, dset.ids[:30], dset.M[:30], dset.Y[:30])
+    out = {}
+    for seed, scheme in enumerate(("onehot", "binary")):
+        enc = d.build_encoder(seen, scheme)
+        out[scheme] = d.init_network(d.NetworkConfig(enc.width, 2, (32, 16), init_seed=seed)), enc
+    return out, dset.M
+
+
+class TestForwardPositions:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scheme=st.sampled_from(["onehot", "binary"]),
+        n=st.sampled_from([0, 1, TILE_ROWS - 1, TILE_ROWS + 1, 2 * TILE_ROWS + 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_a_forward_of_the_encoded_rows(self, position_nets, scheme, n, seed):
+        nets, M = position_nets
+        net, enc = nets[scheme]
+        rows = M[np.random.default_rng(seed).choice(len(M), n)]  # random rows, random order
+        want = d.forward(net, d.encode_positions(enc, rows))
+        got = d.forward_positions(net, enc, rows)
+        assert got.shape == (n, 2) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cols", [7, 9])
+    def test_rows_of_another_width_rejected(self, position_nets, cols):
+        nets, M = position_nets
+        net, enc = nets["onehot"]
+        with pytest.raises(ConfigError, match="8 columns"):
+            d.forward_positions(net, enc, np.zeros((3, cols), dtype=np.int64))
+        with pytest.raises(ConfigError, match="8 columns"):
+            d.forward_positions(net, enc, M[0])  # a vector is not a matrix of rows
+
+    def test_encoder_of_another_width_rejected(self, position_nets):
+        nets, M = position_nets
+        with pytest.raises(ConfigError, match="encoder width"):
+            d.forward_positions(nets["onehot"][0], nets["binary"][1], M[:3])
+
+
+def _other_layout(dset):
+    """`dset` with one user position moved to the resources: the same width, another layout."""
+    return d.Dataset._of(dset.num_user_meta - 1, dset.num_res_meta + 1, dset.num_ops,
+                         dset.ids, dset.M, dset.Y)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, enc, dset: d.evaluate(net, enc, dset),
+        lambda net, enc, dset: d.soft_labels(net, enc, dset, 0),
+        lambda net, enc, dset: d.train(net, dset, enc, d.TrainConfig(epochs=1)),
+    ],
+    ids=["evaluate", "soft_labels", "train"],
+)
+def test_bulk_scorers_reject_a_dataset_of_another_layout(call):
+    dset = trainable_dataset()
+    enc = d.build_encoder(dset)
+    net = d.init_network(d.NetworkConfig(enc.width, dset.num_ops, (8,)))
+    with pytest.raises(ConfigError, match="do not match encoder positions"):
+        call(net, enc, _other_layout(dset))
+
+
+def test_train_rejects_an_encoder_of_another_width():
+    dset = trainable_dataset()
+    enc = d.build_encoder(dset)
+    net = d.init_network(d.NetworkConfig(enc.width + 1, dset.num_ops, (8,)))
+    with pytest.raises(ConfigError, match="encoder width"):
+        d.train(net, dset, enc, d.TrainConfig(epochs=1))
+
+
+def _wide_training(scheme, batch_size):
+    dset = wide_dataset()
+    enc = d.build_encoder(dset, scheme)
+    cfg = d.NetworkConfig(enc.width, dset.num_ops, (16, 8), init_seed=1)
+    tc = d.TrainConfig(epochs=2, batch_size=batch_size, early_stop_patience=5, val_fraction=0.1)
+    assert len(dset) - int(tc.val_fraction * len(dset)) > max(TILE_ROWS, batch_size)
+    return d.save_model(d.train(d.init_network(cfg), dset, enc, tc)[0])
+
+
+# Models pinned before `train` encoded its rows a tile at a time: a batch of
+# 7 leaves tiles of 1,022 rows and a short last batch of 2 rows.
+@pytest.mark.parametrize(
+    "scheme, want", [("onehot", "8fba816b4b808f18"), ("binary", "8fcdccbdb2b9845d")]
+)
+def test_training_in_encoded_tiles_is_pinned(scheme, want):
+    assert _sha16(_wide_training(scheme, 7).encode()) == want
+
+
+# A batch of 1,500 rows is a tile of its own.  Its products are large enough
+# for OpenBLAS to spread over threads, and the onehot model's bits then
+# follow the thread count, so it is compared with a run whose single tile
+# holds every training row, as the whole encoded training set did.
+@pytest.mark.parametrize("scheme", ["onehot", "binary"])
+@pytest.mark.parametrize("batch_size", [7, 1500])
+def test_training_in_encoded_tiles_equals_one_whole_tile(monkeypatch, scheme, batch_size):
+    tiled = _wide_training(scheme, batch_size)
+    monkeypatch.setattr(nn, "TILE_ROWS", 10**6)
+    assert _wide_training(scheme, batch_size) == tiled
