@@ -14,7 +14,7 @@ SplitMix64 sub-stream.  Rules are drawn one call at a time; entity
 metadata and negative pairs come from blocks of draws (`SplitMix64.block`),
 indexed so that every value is the one a draw-at-a-time loop would give:
 each entity takes a known number of draws, and negatives are the first new
-keys in draw order.  The split's shuffle reads its swaps from one block.
+keys in draw order.  The split's permutation reads its swaps from one block.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, IngestError, SynthesisError
+from .errors import ConfigError, FormatError, IngestError, SynthesisError, is_whole
 from .rng import SplitMix64, derive_seed
 
 _RULES_TAG = 1
@@ -61,18 +61,20 @@ class SynthConfig:
     value_distribution: str = "uniform"  # or "zipf" (exponent 1 skew)
 
     def __post_init__(self):
-        if min(self.num_users, self.num_resources, self.num_rules) < 1:
-            raise ConfigError("entity and rule counts must be positive")
-        if self.num_ops < 1:
-            raise ConfigError("num_ops must be >= 1")
-        if self.num_user_meta < 1 or self.num_res_meta < 1:
-            raise ConfigError("metadata counts must be positive")
+        if not all(is_whole(v, 1) for v in (self.num_users, self.num_resources, self.num_rules)):
+            raise ConfigError("entity and rule counts must be positive whole numbers")
+        if not is_whole(self.num_ops, 1):
+            raise ConfigError("num_ops must be a whole number >= 1")
+        if not (is_whole(self.num_user_meta, 1) and is_whole(self.num_res_meta, 1)):
+            raise ConfigError("metadata counts must be positive whole numbers")
+        if not (is_whole(self.visible_user_meta, 1) and is_whole(self.visible_res_meta, 1)):
+            raise ConfigError("visible metadata counts must be positive whole numbers")
         if self.visible_user_meta > self.num_user_meta:
             raise ConfigError("visible_user_meta exceeds num_user_meta")
         if self.visible_res_meta > self.num_res_meta:
             raise ConfigError("visible_res_meta exceeds num_res_meta")
-        if self.visible_user_meta < 1 or self.visible_res_meta < 1:
-            raise ConfigError("visible metadata counts must be positive")
+        if not is_whole(self.seed):
+            raise ConfigError(f"seed must be a whole number, not {self.seed!r}")
         if not 0.0 <= self.constraint_prob <= 1.0:
             raise ConfigError("constraint_prob must be in [0, 1]")
         if not 0.0 <= self.neg_ratio < math.inf:  # also false for nan
@@ -93,9 +95,9 @@ class SynthConfig:
                 "value_set_sizes must cover user then resource metadata "
                 f"({self.num_user_meta + self.num_res_meta} entries)"
             )
-        if any(s < MIN_VALUE_SET or s > MAX_VALUE_SET for s in sizes):
+        if not all(is_whole(s, MIN_VALUE_SET) and s <= MAX_VALUE_SET for s in sizes):
             raise ConfigError(
-                f"every value set size must be in [{MIN_VALUE_SET}, {MAX_VALUE_SET}]"
+                f"every value set size must be a whole number in [{MIN_VALUE_SET}, {MAX_VALUE_SET}]"
             )
 
     @property
@@ -624,8 +626,8 @@ def project_visible(
     dataset: Dataset, visible_user_meta: int, visible_res_meta: int
 ) -> Dataset:
     """Keep only the first visible_* metadata of each side; labels unchanged."""
-    if visible_user_meta < 1 or visible_res_meta < 1:
-        raise ConfigError("visible metadata counts must be positive")
+    if not (is_whole(visible_user_meta, 1) and is_whole(visible_res_meta, 1)):
+        raise ConfigError("visible metadata counts must be positive whole numbers")
     if visible_user_meta > dataset.num_user_meta:
         raise ConfigError("visible_user_meta exceeds dataset user metadata count")
     if visible_res_meta > dataset.num_res_meta:
@@ -644,10 +646,10 @@ def split_dataset(
     """Disjoint train/test partition; |test| = round(test_fraction * N)."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError("test_fraction must be strictly between 0 and 1")
+    if not is_whole(seed):
+        raise ConfigError(f"split seed must be a whole number, not {seed!r}")
     n = len(dataset)
-    order = list(range(n))
-    SplitMix64(seed).shuffle(order)
-    order = np.array(order, dtype=np.int64)
+    order = SplitMix64(seed).permutation(n)
     n_test = int(test_fraction * n + 0.5)
     mk = lambda idx: Dataset._of(
         dataset.num_user_meta, dataset.num_res_meta, dataset.num_ops,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import Dataset, metadata_names
 from .encoding import Encoder
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, is_whole
 from .neuralnet import Network, forward_positions
 
 
@@ -124,6 +124,17 @@ def _grow(X, y, max_depth, min_leaf) -> tuple[np.ndarray, ...]:
     return _node_arrays(nodes)
 
 
+def _check_fields(op_index, max_depth, min_samples_leaf) -> None:
+    """ConfigError naming the first of a tree's settings that is not a whole number in range."""
+    for name, value, least in (
+        ("op", op_index, 0),
+        ("max_depth", 0 if max_depth is None else max_depth, 0),  # None: unlimited
+        ("min_samples_leaf", min_samples_leaf, 1),
+    ):
+        if not is_whole(value, least):
+            raise ConfigError(f"{name} must be a whole number >= {least}, not {value!r}")
+
+
 def fit_tree(
     features: np.ndarray,
     targets: np.ndarray,
@@ -141,10 +152,7 @@ def fit_tree(
         raise ConfigError("targets must align with feature rows")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ConfigError("features and targets must be finite")
-    if min_samples_leaf < 1:
-        raise ConfigError("min_samples_leaf must be >= 1")
-    if max_depth is not None and max_depth < 0:
-        raise ConfigError("max_depth must be >= 0, or None for unlimited")
+    _check_fields(op_index, max_depth, min_samples_leaf)
     default = (f"f{i}" for i in range(X.shape[1]))
     names = tuple(default if feature_names is None else feature_names)
     # the tree file splits its features line on whitespace and finds a node's feature by name
@@ -317,6 +325,10 @@ def load_tree(text: str) -> DistilledTree:
         mse = float(fields["mse"])
     except (KeyError, ValueError):
         raise FormatError("bad tree header fields") from None
+    try:
+        _check_fields(op_index, max_depth, min_leaf)
+    except ConfigError as exc:
+        raise FormatError(f"bad tree header field: {exc}") from None
     if not np.isfinite(mse):
         raise FormatError(f"non-finite mse at tree line {line_no[0]}")
     if len(lines) < 3 or not lines[1].startswith("features "):

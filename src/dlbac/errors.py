@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all dlbac modules."""
+"""Exception hierarchy shared by all dlbac modules, and the whole-number rule of their checks."""
+
+from numbers import Integral
 
 
 class DlbacError(Exception):
@@ -27,3 +29,15 @@ class NotFoundError(DlbacError):
 
 class ConflictError(DlbacError):
     """Contradictory metadata for the same id."""
+
+
+def is_whole(value, least: int | None = None) -> bool:
+    """True iff `value` is an integer (Python or numpy, not a bool), and >= `least` if given.
+
+    The configs and entry points check their counts, indices and seeds with
+    this one rule, so a 2.5 or a "3" is refused where it enters, not when a
+    range or an index later trips on it.
+    """
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+        return False  # a plain int skips the slower ABC check
+    return least is None or value >= least

@@ -24,11 +24,6 @@ class Confusion:
     tn: int
     fn: int
 
-    def __add__(self, other: "Confusion") -> "Confusion":
-        return Confusion(
-            self.tp + other.tp, self.fp + other.fp, self.tn + other.tn, self.fn + other.fn
-        )
-
 
 @dataclass(frozen=True)
 class OpMetrics:
@@ -60,32 +55,27 @@ def _op_metrics(c: Confusion) -> OpMetrics:
     return OpMetrics(c, precision, tpr, fpr, f1)
 
 
+def _bits(a, what: str) -> np.ndarray:
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf" or not ((a == 0) | (a == 1)).all():
+        raise ConfigError(f"{what} must be 0 or 1")
+    return a.astype(np.int64)
+
+
 def score(preds: np.ndarray, labels: np.ndarray) -> MetricsReport:
-    """Score 0/1 prediction and label matrices of shape (n_tuples, n_ops)."""
-    preds = np.asarray(preds, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if preds.shape != labels.shape:
+    """Score 0/1 prediction and label matrices of shape (n_tuples, n_ops), all ops at once."""
+    P, Y = _bits(preds, "predictions"), _bits(labels, "labels")
+    if P.shape != Y.shape:
         raise ConfigError("prediction and label shapes differ")
-    if preds.ndim == 1:
-        preds = preds[:, None]
-        labels = labels[:, None]
-    per_op = []
-    for k in range(preds.shape[1]):
-        p, y = preds[:, k], labels[:, k]
-        per_op.append(
-            _op_metrics(
-                Confusion(
-                    tp=int(np.sum((p == 1) & (y == 1))),
-                    fp=int(np.sum((p == 1) & (y == 0))),
-                    tn=int(np.sum((p == 0) & (y == 0))),
-                    fn=int(np.sum((p == 0) & (y == 1))),
-                )
-            )
-        )
-    pooled = per_op[0].confusion
-    for m in per_op[1:]:
-        pooled = pooled + m.confusion
-    return MetricsReport(per_op=tuple(per_op), micro=_op_metrics(pooled))
+    if P.ndim == 1:
+        P, Y = P[:, None], Y[:, None]
+    if P.ndim != 2:
+        raise ConfigError("predictions and labels must be vectors or matrices")
+    tp = (P * Y).sum(axis=0)
+    fp, fn = P.sum(axis=0) - tp, Y.sum(axis=0) - tp
+    counts = np.stack([tp, fp, len(P) - tp - fp - fn, fn], axis=1)  # one row per op
+    per_op = tuple(_op_metrics(Confusion(*row)) for row in counts.tolist())
+    return MetricsReport(per_op, _op_metrics(Confusion(*counts.sum(axis=0).tolist())))
 
 
 def evaluate(

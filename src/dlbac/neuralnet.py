@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
 from .dataset import Dataset
 from .encoding import Encoder, encode_positions
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, is_whole
 from .rng import SplitMix64
 
 PROB_EPS = 1e-12  # clamp for log() in the loss
@@ -32,13 +33,15 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
-        if self.input_width < 1 or self.num_ops < 1:
-            raise ConfigError("input_width and num_ops must be >= 1")
-        if any(w < 1 for w in self.hidden_layers):
-            raise ConfigError("hidden layer widths must be >= 1")
+        if not (is_whole(self.input_width, 1) and is_whole(self.num_ops, 1)):
+            raise ConfigError("input_width and num_ops must be whole numbers >= 1")
+        if not all(is_whole(w, 1) for w in self.hidden_layers):
+            raise ConfigError("hidden layer widths must be whole numbers >= 1")
+        if not is_whole(self.init_seed, 0):
+            raise ConfigError(f"init_seed must be a whole number >= 0, not {self.init_seed!r}")
 
     def check_op(self, op: int) -> None:
-        if not 0 <= op < self.num_ops:
+        if not (is_whole(op, 0) and op < self.num_ops):
             raise ConfigError(f"operation index {op} out of range")
 
     def check_dataset_ops(self, num_ops: int) -> None:
@@ -113,10 +116,17 @@ class TrainConfig:
         if not 0.0 < self.lr0 < np.inf:
             raise ConfigError("lr0 must be positive and finite")
         for name in ("lr_decay_epochs", "epochs", "batch_size", "early_stop_patience"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if not all(0.0 < w < np.inf for w in self.class_weights):
-            raise ConfigError("class weights must be positive and finite")
+            if not is_whole(getattr(self, name), 1):
+                raise ConfigError(f"{name} must be a whole number >= 1")
+        if not is_whole(self.shuffle_seed):
+            raise ConfigError(f"shuffle_seed must be a whole number, not {self.shuffle_seed!r}")
+        weights = self.class_weights
+        if not (
+            isinstance(weights, (tuple, list))
+            and len(weights) == 2
+            and all(isinstance(w, Real) and 0.0 < w < np.inf for w in weights)
+        ):
+            raise ConfigError("class weights must be two positive finite numbers")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in [0, 1)")
 
@@ -282,8 +292,8 @@ def loss(
     return float(np.mean(per))
 
 
-def _loss_grads(net: Network, X: np.ndarray, Y: np.ndarray, class_weights):
-    """Gradient of loss(forward(X), Y) w.r.t. every parameter, as a Network; also the loss."""
+def _loss_grads(net: Network, X: np.ndarray, Y: np.ndarray, class_weights, grad: Network) -> float:
+    """loss(forward(X), Y); its gradient w.r.t. every parameter is written into `grad`."""
     wg, wd = class_weights
     zs = _layers(net, X @ net.weights[0] + net.biases[0])
     probs = _sigmoid(zs[-1])
@@ -294,14 +304,13 @@ def _loss_grads(net: Network, X: np.ndarray, Y: np.ndarray, class_weights):
     dL_dp = (-(wg * Y / p) + wd * (1.0 - Y) / (1.0 - p)) * inside / probs.size
     delta = dL_dp * probs * (1.0 - probs)  # dL/dz at the output layer
 
-    grad = Network(net.config, np.empty_like(net.flat))
     for l in range(len(net.weights) - 1, -1, -1):
         a = np.maximum(zs[l - 1], 0.0) if l > 0 else X  # layer l's input
         np.matmul(a.T, delta, out=grad.weights[l])
         np.sum(delta, axis=0, out=grad.biases[l])
         if l > 0:
             delta = (delta @ net.weights[l].T) * (zs[l - 1] > 0.0)
-    return grad, total_loss
+    return total_loss
 
 
 def backward(
@@ -316,7 +325,8 @@ def backward(
     """
     X, single = _rows(net, x)
     labels = np.asarray(labels, dtype=np.float64)
-    grad, _ = _loss_grads(net, X, labels[None, :] if single else labels, class_weights)
+    grad = Network(net.config)
+    _loss_grads(net, X, labels[None, :] if single else labels, class_weights, grad)
     return grad.weights, grad.biases
 
 
@@ -352,7 +362,7 @@ def path_gradient(
     B, _ = _rows(net, baseline)
     if np.shape(x) != np.shape(baseline):
         raise ConfigError("input and baseline shapes differ")
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
+    if not is_whole(steps, 1):
         raise ConfigError(f"steps must be a whole number >= 1, not {steps!r}")
     net.config.check_op(op_index)
     W0 = net.weights[0]
@@ -441,17 +451,15 @@ def train(
     M, Y = train_set.M, train_set.Y.astype(np.float64)
 
     rng = SplitMix64(tc.shuffle_seed)
-    order = list(range(len(train_set)))
-    rng.shuffle(order)
+    order = rng.permutation(len(train_set))
     n_val = int(tc.val_fraction * len(order))
-    val_idx = order[:n_val]
-    tr_idx = order[n_val:]
-    if not tr_idx:
+    val_idx, tr_idx = order[:n_val], order[n_val:]
+    if len(tr_idx) == 0:
         raise ConfigError("val_fraction leaves no training samples")
     Mtr, Ytr = M[tr_idx], Y[tr_idx]
     Mval, Yval = M[val_idx], Y[val_idx]
 
-    work, best = Network(net.config), _aligned_zeros(net.flat.size)
+    work, grad, best = Network(net.config), Network(net.config), _aligned_zeros(net.flat.size)
     np.copyto(work.flat, net.flat)
     np.copyto(best, net.flat)
     state = AdamState(work.flat.size)
@@ -459,18 +467,18 @@ def train(
     report = TrainReport()
 
     n = len(tr_idx)
-    batch_order = list(range(n))
+    batch_order = np.arange(n)
     span = tc.batch_size * max(1, TILE_ROWS // tc.batch_size)  # whole batches per tile
     for epoch in range(tc.epochs):
         lr = tc.lr0 / (10.0 ** (epoch // tc.lr_decay_epochs))
-        rng.shuffle(batch_order)
+        batch_order = batch_order[rng.permutation(n)]  # as shuffling the last epoch's order
         epoch_loss = 0.0
         for first in range(0, n, span):
             tile = batch_order[first : first + span]
             X, Yt = encode_positions(encoder, Mtr[tile]), Ytr[tile]
             for start in range(0, len(tile), tc.batch_size):
                 xb, yb = X[start : start + tc.batch_size], Yt[start : start + tc.batch_size]
-                grad, batch_loss = _loss_grads(work, xb, yb, tc.class_weights)
+                batch_loss = _loss_grads(work, xb, yb, tc.class_weights, grad)
                 adam_step(work.flat, grad.flat, state, lr)
                 epoch_loss += batch_loss * len(yb)
         epoch_loss /= n

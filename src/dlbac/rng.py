@@ -60,12 +60,13 @@ class SplitMix64:
     def choice(self, seq):
         return seq[self.randint(len(seq))]
 
-    def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates shuffle: position i (from the end) swaps with draw % (i + 1)."""
-        n = len(seq)
+    def permutation(self, n: int) -> np.ndarray:
+        """range(n) shuffled, as int64: position i (from the end) swaps with draw % (i + 1)."""
+        seq = list(range(n))  # swaps on a list are cheaper than on an array
         swaps = self.block(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
         for i, j in zip(range(n - 1, 0, -1), swaps.tolist()):
             seq[i], seq[j] = seq[j], seq[i]
+        return np.array(seq, dtype=np.int64)
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices drawn from range(n), in draw order."""

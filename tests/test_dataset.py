@@ -322,9 +322,7 @@ class TestGenerateTuples:
         assert _digest(test.ids.ravel().tolist()) == "a78a8e87995247be"
 
     def test_shuffle_is_pinned(self):
-        order = list(range(1000))
-        d.SplitMix64(7).shuffle(order)
-        assert _digest(order) == "18448dc5a0750f42"
+        assert _digest(d.SplitMix64(7).permutation(1000).tolist()) == "18448dc5a0750f42"
 
 
 ACCEPTANCE = dict(
@@ -966,6 +964,27 @@ class TestProjectVisible:
         full = self.make_13_13()
         with pytest.raises(ConfigError):
             d.project_visible(full, 14, 13)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "small_config(num_users=60.5)",
+        "small_config(num_rules=4.0)",
+        "small_config(num_ops=1.5)",
+        "small_config(num_user_meta=8.0)",
+        "small_config(visible_res_meta=2.5)",
+        "small_config(value_set_sizes=(6.5,) * 16)",
+        "small_config(seed=1.5)",
+        "project_visible(data, 1.5, 2)",
+        "split_dataset(data, 0.5, seed=1.5)",
+        'split_dataset(data, 0.5, seed="1")',
+    ],
+)
+def test_non_integer_counts_and_seeds_are_refused(call):
+    data = d.synthesize(small_config())[0]
+    with pytest.raises(ConfigError):
+        eval(call, {**vars(d), "small_config": small_config, "data": data})
 
 
 class TestSplitDataset:

@@ -221,6 +221,32 @@ class TestPredictAndRules:
         assert rule.text() == "2 < umeta0 <= 10"
 
 
+def _header(op="0", max_depth="8", min_samples_leaf="1"):
+    return (
+        f"dlbac-tree v1 op={op} max_depth={max_depth} min_samples_leaf={min_samples_leaf} "
+        "mse=0.0\nfeatures umeta0\nleaf 0.5 3\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "make, error, field",
+    [
+        (lambda X, y: d.fit_tree(X, y, min_samples_leaf=2.5), ConfigError, "min_samples_leaf"),
+        (lambda X, y: d.fit_tree(X, y, max_depth=2.5), ConfigError, "max_depth"),
+        (lambda X, y: d.fit_tree(X, y, op_index=-1), ConfigError, "op"),
+        (lambda X, y: d.fit_tree(X, y, op_index=1.0), ConfigError, "op"),
+        (lambda X, y: d.load_tree(_header(op="-1")), FormatError, "op"),
+        (lambda X, y: d.load_tree(_header(max_depth="-5")), FormatError, "max_depth"),
+        (lambda X, y: d.load_tree(_header(min_samples_leaf="0")), FormatError, "min_samples_leaf"),
+    ],
+)
+def test_tree_settings_follow_one_rule_when_fitted_and_loaded(make, error, field):
+    X, y = np.arange(12.0).reshape(6, 2), np.linspace(0.0, 1.0, 6)
+    with pytest.raises(error, match=f"\\b{field} must be a whole number"):
+        make(X, y)
+    assert d.load_tree(_header()).min_samples_leaf == 1  # the valid header loads
+
+
 @pytest.fixture(scope="module")
 def trained():
     cfg = d.SynthConfig(
@@ -237,6 +263,12 @@ def trained():
 
 
 class TestDistill:
+    @pytest.mark.parametrize("op", [1.5, 1.0, 2])
+    def test_soft_labels_refuse_an_op_outside_the_outputs(self, trained, op):
+        net, enc, dset = trained
+        with pytest.raises(ConfigError, match="operation index"):
+            d.soft_labels(net, enc, dset, op)
+
     def test_soft_labels_are_probabilities(self, trained):
         net, enc, dset = trained
         y = d.soft_labels(net, enc, dset, 0)

@@ -302,6 +302,8 @@ class TestPreEncodedRows:
             d.decide(net, enc, store, uid, 999998, 0)
         with pytest.raises(ConfigError, match="^operation index 2 out of range$"):
             d.decide(net, enc, store, 999999, 999998, 2)
+        with pytest.raises(ConfigError, match="^operation index 1.0 out of range$"):
+            d.decide(net, enc, store, uid, rid, 1.0)
         assert handle_line(f"DECIDE 999999 {rid} 0", net, enc, store, 0.5) == (
             "ERR unknown user 999999"
         )

@@ -312,7 +312,7 @@ class TestFlipStudy:
         curve = d.flip_study(net, enc, dset, 0, donor, order)
         assert curve.fractions[-1] == 1.0
 
-    @pytest.mark.parametrize("op", [2, -1])
+    @pytest.mark.parametrize("op", [2, -1, 1.5, 1.0])
     def test_op_out_of_range_rejected(self, trained, op):
         net, enc, dset = trained
         donor = pick_donor(net, enc, dset, 0)

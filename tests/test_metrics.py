@@ -145,3 +145,50 @@ class TestCsv:
         rep = d.score(np.array([1, 1, 0]), np.array([1, 0, 0]))
         row = d.report_to_csv(rep).strip().split("\n")[1].split(",")
         assert row[5] == "0.500000"
+
+
+@pytest.mark.parametrize(
+    "preds, labels",
+    [
+        (np.array([0.7, 1.0, 0.0]), np.array([1, 1, 0])),  # truncated to 0 by an int cast
+        (np.array([1, 2, 0]), np.array([1, 1, 0])),  # a 2 lands in no cell
+        (np.array([1, 0, 0]), np.array([1, -1, 0])),
+        (np.array([1.0, np.nan]), np.array([1, 0])),
+        (np.array(["1", "0"]), np.array([1, 0])),
+    ],
+)
+def test_score_refuses_values_other_than_0_and_1(preds, labels):
+    with pytest.raises(ConfigError, match="must be 0 or 1"):
+        d.score(preds, labels)
+
+
+def test_score_of_zero_operations_is_empty_with_an_all_na_micro_row():
+    rep = d.score(np.zeros((3, 0), int), np.zeros((3, 0), int))
+    assert rep.per_op == ()
+    assert d.report_to_csv(rep).splitlines()[1:] == ["micro,0,0,0,0,NA,NA,NA,NA"]
+
+
+def _per_op_oracle(preds, labels):
+    """One count loop per op and per cell, micro as a plain sum: the oracle for `score`."""
+    cells = [
+        tuple(
+            int(np.sum((preds[:, k] == p) & (labels[:, k] == y)))
+            for p, y in ((1, 1), (1, 0), (0, 0), (0, 1))
+        )
+        for k in range(preds.shape[1])
+    ]
+    return cells, tuple(sum(c[i] for c in cells) for i in range(4))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 30), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_whole_array_counts_equal_the_per_op_loop(n, ops, seed, as_bool):
+    rng = np.random.default_rng(seed)
+    preds, labels = rng.integers(0, 2, (n, ops)), rng.integers(0, 2, (n, ops))
+    rep = d.score(preds.astype(bool) if as_bool else preds, labels.astype(np.float64))
+    cells, micro = _per_op_oracle(preds, labels)
+    got = [(m.confusion.tp, m.confusion.fp, m.confusion.tn, m.confusion.fn) for m in rep.per_op]
+    assert got == cells
+    c = rep.micro.confusion
+    assert (c.tp, c.fp, c.tn, c.fn) == micro
+    assert all(type(v) is int for v in (c.tp, c.fp, c.tn, c.fn, *got[0]))

@@ -417,8 +417,7 @@ class TestTrain:
         # epochs after the best one moved the working parameters on
         assert report.best_epoch < report.stopped_epoch - 1
         # the validation carve-out, drawn as train draws it
-        order = list(range(len(dset.tuples)))
-        SplitMix64(tc.shuffle_seed).shuffle(order)
+        order = SplitMix64(tc.shuffle_seed).permutation(len(dset))
         val = order[: int(tc.val_fraction * len(order))]
         X = d.encode_dataset(enc, dset)[val]
         Y = dset.Y.astype(np.float64)[val]
@@ -511,6 +510,39 @@ class TestTrainConfig:
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             d.TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "NetworkConfig(3, 2).check_op(1.5)",
+        "NetworkConfig(3, 2).check_op(True)",
+        "NetworkConfig(2.5, 2)",
+        "NetworkConfig(3, 2.0)",
+        "NetworkConfig(3, 2, hidden_layers=(2.5,))",
+        "NetworkConfig(3, 2, init_seed=-1)",
+        "NetworkConfig(3, 2, init_seed=0.5)",
+        "TrainConfig(epochs=1.5)",
+        "TrainConfig(batch_size=2.5)",
+        "TrainConfig(early_stop_patience=1.5)",
+        "TrainConfig(lr_decay_epochs=1.5)",
+        "TrainConfig(shuffle_seed=1.5)",
+        "TrainConfig(class_weights=(1.0, 1.0, 1.0))",
+        "TrainConfig(class_weights=(1.0,))",
+        'TrainConfig(class_weights=("a", 1))',
+        "TrainConfig(class_weights=((1.0, 2.0), 1.0))",
+        "TrainConfig(class_weights=1.0)",
+    ],
+)
+def test_malformed_network_and_training_values_are_refused(call):
+    with pytest.raises(ConfigError):
+        eval(call, vars(d))
+
+
+def test_numpy_integers_are_whole_numbers():
+    cfg = d.NetworkConfig(np.int64(3), np.int32(2), (np.int64(4),), init_seed=np.uint8(1))
+    cfg.check_op(np.int64(1))
+    d.TrainConfig(epochs=np.int64(2), class_weights=(np.float64(2.0), 1))
 
 
 class TestFlatParameters:

@@ -23,7 +23,7 @@ def _reference_next(state):
 
 
 def _scalar_shuffle(rng, seq):
-    """Fisher-Yates with one `randint` per swap: the oracle for `SplitMix64.shuffle`."""
+    """Fisher-Yates with one `randint` per swap: the oracle for `SplitMix64.permutation`."""
     for i in range(len(seq) - 1, 0, -1):
         j = rng.randint(i + 1)
         seq[i], seq[j] = seq[j], seq[i]
@@ -89,20 +89,27 @@ class TestShuffle:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_tiny_lists_match_the_scalar_loop(self, n):
         a, b = SplitMix64(5), SplitMix64(5)
-        xs, ys = list(range(n)), list(range(n))
-        a.shuffle(xs)
+        got = a.permutation(n)
+        ys = list(range(n))
         _scalar_shuffle(b, ys)
-        assert xs == ys
+        assert got.dtype == np.int64 and got.shape == (n,)
+        assert got.tolist() == ys
         assert a.next_u64() == b.next_u64()
 
     @given(st.integers(0, MASK64), st.integers(0, 400))
     def test_matches_the_scalar_loop(self, seed, n):
         a, b = SplitMix64(seed), SplitMix64(seed)
-        xs, ys = [f"x{i}" for i in range(n)], [f"x{i}" for i in range(n)]
-        a.shuffle(xs)
+        ys = list(range(n))
         _scalar_shuffle(b, ys)
-        assert xs == ys
+        assert a.permutation(n).tolist() == ys
         assert a.next_u64() == b.next_u64()
+
+    @given(st.integers(0, MASK64), st.integers(0, 60))
+    def test_indexing_by_it_is_the_in_place_shuffle(self, seed, n):
+        xs = [f"x{i}" for i in range(n)]
+        shuffled = list(xs)
+        _scalar_shuffle(SplitMix64(seed), shuffled)
+        assert [xs[i] for i in SplitMix64(seed).permutation(n)] == shuffled
 
 
 class TestDraws:
@@ -128,11 +135,8 @@ class TestDraws:
         assert SplitMix64(0).random() == (SEED0_FIRST3[0] >> 11) * 2.0**-53
 
     def test_shuffle_is_permutation_and_deterministic(self):
-        a = list(range(50))
-        b = list(range(50))
-        SplitMix64(9).shuffle(a)
-        SplitMix64(9).shuffle(b)
-        assert a == b
+        a = SplitMix64(9).permutation(50).tolist()
+        assert a == SplitMix64(9).permutation(50).tolist()
         assert sorted(a) == list(range(50))
 
     def test_sample_indices_distinct_in_range(self):
