@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, IngestError, SynthesisError, is_whole
+from .errors import ConfigError, FormatError, IngestError, SynthesisError, is_real, is_whole
 from .rng import SplitMix64, derive_seed
 
 _RULES_TAG = 1
@@ -75,9 +75,9 @@ class SynthConfig:
             raise ConfigError("visible_res_meta exceeds num_res_meta")
         if not is_whole(self.seed):
             raise ConfigError(f"seed must be a whole number, not {self.seed!r}")
-        if not 0.0 <= self.constraint_prob <= 1.0:
+        if not (is_real(self.constraint_prob) and 0.0 <= self.constraint_prob <= 1.0):
             raise ConfigError("constraint_prob must be in [0, 1]")
-        if not 0.0 <= self.neg_ratio < math.inf:  # also false for nan
+        if not (is_real(self.neg_ratio) and 0.0 <= self.neg_ratio < math.inf):  # also false for nan
             raise ConfigError("neg_ratio must be finite and non-negative")
         if self.value_distribution not in ("uniform", "zipf"):
             raise ConfigError("value_distribution must be 'uniform' or 'zipf'")

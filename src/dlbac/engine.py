@@ -21,14 +21,27 @@ A request is checked, in order, for its op range, the encoder's layout
 against the store, its user, its resource and the encoder's width against
 the network.  Layout and width are the same for every request of a batch,
 so they are checked once, at its first `DECIDE` whose op is in range: a
-batch without one builds nothing in the store.  The `DECIDE` lines of one
-`recv` that pass are scored in one `forward_active`, which cuts and pads
-them into the tiles every `forward` uses and whose layer 0 gives every row
-the bits of a dense `forward`, and one pick takes each row's op.  So a
-reply depends on its batch only through the BLAS.  Where the BLAS gives a
-row of a padded tile the same bits in every tile, as OpenBLAS 0.3.31 does
-for the default hidden widths, a reply does not depend on the lines that
-shared its batch and equals its pair's row of a dense `forward` of any batch.
+batch without one builds nothing in the store.  The pairs of the `DECIDE`
+lines of one `recv` that pass are scored in one `forward_active`, each
+distinct pair once, which cuts and pads them into the tiles every `forward`
+uses and whose layer 0 gives every row the bits of a dense `forward`, and
+each line reads its op from its pair's row.  So a reply depends on its batch
+only through the BLAS.  Where the BLAS gives a row of a padded tile the same
+bits in every tile, as OpenBLAS 0.3.31 does for the default hidden widths, a
+reply does not depend on the lines that shared its batch and equals its
+pair's row of a dense `forward` of any batch.
+
+A server also caches, per pair, the whole probability row that scored it,
+keyed by the pair's store rows `(i, j)`.  Every op of the pair and every
+later request for it is then answered from that row and runs no numpy; a
+`recv`'s misses are scored as above.  The cache (`RowCache`) holds at most
+`CACHE_PAIRS` pairs: an insert into a full cache clears it first, and
+inserts take the cache's lock, so threads cannot take it past the bound;
+lookups take none.  The server scores with its own read-only copy of the
+network, so a write to the caller's `net` cannot make an entry stale.  An
+entry is the row its pair's batch gave, so a hit equals a miss bit for bit
+wherever a reply does not depend on its batch.  `handle_line` and `decide`
+keep no cache.
 
 A pair's metadata is one row of positions, user positions first.  A store
 lists each user's active input columns (from position 0) and each
@@ -52,12 +65,13 @@ import numpy as np
 from .dataset import Dataset
 from .encoding import Encoder, active_columns
 from .errors import ConfigError, ConflictError, NotFoundError
-from .neuralnet import Network, forward_active
+from .neuralnet import Network, _aligned_zeros, forward_active
 
 MAX_LINE = 1024  # bytes in one request line, not counting its newline
 MAX_CONNECTIONS = 64  # connections served at once; one more is told `ERR server busy`
 RECV_BYTES = 65536  # bytes asked of one `recv`
 IDLE_SECONDS = 30  # a connection whose recv or sendall waits this long is closed
+CACHE_PAIRS = 1 << 14  # pairs whose probability rows one server keeps; a full cache is cleared
 
 
 @dataclass(frozen=True)
@@ -156,6 +170,22 @@ def build_store(dataset: Dataset) -> MetadataStore:
     return MetadataStore(*sides)
 
 
+class RowCache(dict):
+    """A pair's store rows `(i, j)` -> its probability row, for at most `CACHE_PAIRS` pairs."""
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def add(self, pairs, rows) -> None:
+        """Insert each pair's row; an insert into a full cache clears it first."""
+        with self._lock:  # a size check and its insert are one step for every thread
+            for pair, row in zip(pairs, rows):
+                if len(self) >= CACHE_PAIRS:
+                    self.clear()
+                self[pair] = row
+
+
 def _batch_checks(net: Network, encoder: Encoder, store: MetadataStore):
     """(layout error or None, width error or None, uid -> row, rid -> row) of a batch."""
     try:
@@ -175,11 +205,11 @@ def _refusal(layout, width, uid: int, rid: int, i, j):
     return NotFoundError, f"unknown user {uid}" if i is None else f"unknown resource {rid}"
 
 
-def _score(net: Network, encoder: Encoder, store: MetadataStore, user_rows, res_rows, ops):
-    """The probability of each request (its user row, resource row and op), in one forward."""
+def _score(net: Network, encoder: Encoder, store: MetadataStore, user_rows, res_rows):
+    """The probability row of each pair (its user row and resource row), in one forward."""
     users, resources = store.columns(encoder)
     C = np.concatenate((users.take(user_rows, axis=0), resources.take(res_rows, axis=0)), axis=1)
-    return forward_active(net, C)[np.arange(len(ops)), ops].tolist()
+    return forward_active(net, C)
 
 
 def decide(
@@ -193,7 +223,7 @@ def decide(
     if layout or width or i is None or j is None:
         error, text = _refusal(layout, width, uid, rid, i, j)
         raise error(text)
-    prob = _score(net, encoder, store, [i], [j], [op])[0]
+    prob = float(_score(net, encoder, store, [i], [j])[0, op])
     return Decision(op, prob, prob > threshold, threshold)
 
 
@@ -209,10 +239,15 @@ _DECIDE = re.compile(r"DECIDE\s+(-?[0-9]+)\s+(-?[0-9]+)\s+(-?[0-9]+)", re.ASCII)
 
 
 def handle_lines(
-    lines: list[str], net: Network, encoder: Encoder, store: MetadataStore, threshold: float
+    lines: list[str], net: Network, encoder: Encoder, store: MetadataStore, threshold: float,
+    cache: RowCache | None = None,
 ) -> list[str]:
-    """One reply per input line, in order; every valid `DECIDE` is scored in one batch."""
-    replies, pending, num_ops, clean = [], [], net.config.num_ops, None
+    """One reply per input line, in order; the valid `DECIDE`s' pairs are scored in one batch.
+
+    Each distinct pair is scored once.  A pair in `cache` is answered from
+    its row instead, and the scored pairs are added to it.
+    """
+    replies, misses, num_ops, clean = [], {}, net.config.num_ops, None
     for line in lines:
         line = line.strip(string.whitespace)
         m = _DECIDE.fullmatch(line)
@@ -231,15 +266,22 @@ def handle_lines(
             layout, width, users, resources = _batch_checks(net, encoder, store)
             clean = not (layout or width)
         i, j = users.get(uid), resources.get(rid)
-        if clean and i is not None and j is not None:
-            pending.append((len(replies), i, j, op))
+        if not clean or i is None or j is None:
+            replies.append("ERR " + _refusal(layout, width, uid, rid, i, j)[1])
+            continue
+        row = None if cache is None else cache.get((i, j))
+        if row is None:
+            misses.setdefault((i, j), []).append((len(replies), op))
             replies.append(None)
         else:
-            replies.append("ERR " + _refusal(layout, width, uid, rid, i, j)[1])
-    if pending:
-        slots, user_rows, res_rows, ops = zip(*pending)
-        for k, p in zip(slots, _score(net, encoder, store, user_rows, res_rows, ops)):
-            replies[k] = _reply(p > threshold, p)
+            replies.append(_reply(row[op] > threshold, row[op]))
+    if misses:
+        rows = _score(net, encoder, store, *zip(*misses)).tolist()
+        for row, waiting in zip(rows, misses.values()):
+            for k, op in waiting:
+                replies[k] = _reply(row[op] > threshold, row[op])
+        if cache is not None:
+            cache.add(misses, rows)
     return replies
 
 
@@ -268,8 +310,8 @@ class _Handler(socketserver.BaseRequestHandler):
                 n = next((k for k, raw in enumerate(lines) if len(raw) > MAX_LINE), len(lines))
                 # "\n" is no part of any UTF-8 sequence: the lines decode as one text
                 text = b"\n".join(lines[:n]).decode("utf-8", errors="replace")
-                replies = handle_lines(text.split("\n") if n else [],
-                                       srv.net, srv.encoder, srv.store, srv.threshold)
+                replies = handle_lines(text.split("\n") if n else [], srv.net, srv.encoder,
+                                       srv.store, srv.threshold, srv.cache)
                 too_long = n < len(lines) or len(tail) > MAX_LINE
                 if too_long:
                     replies.append("ERR line too long")
@@ -282,14 +324,23 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class DecisionServer(socketserver.ThreadingTCPServer):
-    """One thread per connection, at most `MAX_CONNECTIONS` at a time."""
+    """One thread per connection, at most `MAX_CONNECTIONS` at a time.
+
+    It scores with a read-only copy of `net`, and its connections share one
+    `RowCache`, `cache`.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, address, net, encoder, store, threshold):
         super().__init__(address, _Handler)
-        self.net, self.encoder, self.store, self.threshold = net, encoder, store, threshold
+        flat = _aligned_zeros(net.flat.size)
+        np.copyto(flat, net.flat)
+        flat.flags.writeable = False
+        self.net = Network(net.config, flat)
+        self.encoder, self.store, self.threshold = encoder, store, threshold
+        self.cache = RowCache()
         self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
 
     def process_request(self, request, client_address):

@@ -1,6 +1,6 @@
-"""Exception hierarchy shared by all dlbac modules, and the whole-number rule of their checks."""
+"""Exception hierarchy shared by all dlbac modules, and the number rules of their checks."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class DlbacError(Exception):
@@ -41,3 +41,12 @@ def is_whole(value, least: int | None = None) -> bool:
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         return False  # a plain int skips the slower ABC check
     return least is None or value >= least
+
+
+def is_real(value) -> bool:
+    """True iff `value` is a real number (Python or numpy, not a bool).
+
+    The configs check it before a range comparison, so a "0.5" is refused
+    with a ConfigError rather than a TypeError, and a True is not taken for 1.
+    """
+    return type(value) is float or (isinstance(value, Real) and not isinstance(value, bool))

@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import Dataset
 from .encoding import Encoder, encode_positions
 from .engine import MetadataStore
-from .errors import ConfigError
+from .errors import ConfigError, is_whole
 from .neuralnet import Network, forward_positions, path_gradient
 from .rng import SplitMix64
 
@@ -121,8 +121,10 @@ def global_explain(
     """Mean per-tuple normalized attribution over a sample of one label class."""
     net.config.check_op(op)
     net.config.check_dataset_ops(dataset.num_ops)
-    if sample_n < 1:
-        raise ConfigError("sample size must be >= 1")
+    if not is_whole(sample_n, 1):
+        raise ConfigError(f"sample size must be a whole number >= 1, not {sample_n!r}")
+    if not is_whole(seed):
+        raise ConfigError(f"seed must be a whole number, not {seed!r}")
     pool = np.flatnonzero(dataset.Y[:, op] == decision_class)
     if len(pool) < sample_n:
         raise ConfigError(

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
 from .dataset import Dataset
 from .encoding import Encoder, encode_positions
-from .errors import ConfigError, FormatError, is_whole
+from .errors import ConfigError, FormatError, is_real, is_whole
 from .rng import SplitMix64
 
 PROB_EPS = 1e-12  # clamp for log() in the loss
@@ -113,7 +112,7 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.lr0 < np.inf:
+        if not (is_real(self.lr0) and 0.0 < self.lr0 < np.inf):
             raise ConfigError("lr0 must be positive and finite")
         for name in ("lr_decay_epochs", "epochs", "batch_size", "early_stop_patience"):
             if not is_whole(getattr(self, name), 1):
@@ -124,10 +123,10 @@ class TrainConfig:
         if not (
             isinstance(weights, (tuple, list))
             and len(weights) == 2
-            and all(isinstance(w, Real) and 0.0 < w < np.inf for w in weights)
+            and all(is_real(w) and 0.0 < w < np.inf for w in weights)
         ):
             raise ConfigError("class weights must be two positive finite numbers")
-        if not 0.0 <= self.val_fraction < 1.0:
+        if not (is_real(self.val_fraction) and 0.0 <= self.val_fraction < 1.0):
             raise ConfigError("val_fraction must be in [0, 1)")
 
 

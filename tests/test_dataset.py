@@ -37,6 +37,12 @@ class TestSynthConfig:
         with pytest.raises(ConfigError, match="neg_ratio"):
             small_config(neg_ratio=ratio)
 
+    @pytest.mark.parametrize("field", ["constraint_prob", "neg_ratio"])
+    @pytest.mark.parametrize("value", ["a", "0.5", None, True, False])
+    def test_rejects_a_non_number_probability_or_ratio(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: value})
+
     def test_rejects_visible_over_total(self):
         with pytest.raises(ConfigError):
             small_config(num_user_meta=6, visible_user_meta=8)

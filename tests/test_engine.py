@@ -335,9 +335,9 @@ def four_op_setup():
 
 
 def _scored(net, enc, store, pairs, ops):
-    """`engine._score` of the pairs' user rows, resource rows and ops."""
+    """Each pair's op, picked from the row `engine._score` gives its user and resource rows."""
     user_rows, res_rows = zip(*(store.locate(u, r) for u, r in pairs))
-    return engine._score(net, enc, store, user_rows, res_rows, ops)
+    return engine._score(net, enc, store, user_rows, res_rows)[np.arange(len(ops)), ops]
 
 
 class TestBatchedScoring:
@@ -864,8 +864,9 @@ class TestIdleDeadline:
         # small socket buffers on both ends, so the replies to 1 MB of PING back up
         net, enc, store, _ = setup
         monkeypatch.setattr(engine, "IDLE_SECONDS", 0.2)
-        # stands in for a DecisionServer: the four attributes a handler reads
-        server = types.SimpleNamespace(net=net, encoder=enc, store=store, threshold=0.5)
+        # stands in for a DecisionServer: the five attributes a handler reads
+        server = types.SimpleNamespace(net=net, encoder=enc, store=store, threshold=0.5,
+                                       cache=engine.RowCache())
         with socket.create_server(("127.0.0.1", 0)) as listener:
             client = socket.socket()
             client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
@@ -898,3 +899,146 @@ class TestIdleDeadline:
             flooder.join(timeout=10)
             assert 0 < len(got) < 5 * 200_000  # replies were cut off, not all sent
             assert (b"PONG\n" * 200_000).startswith(got)
+
+
+@pytest.fixture
+def fresh_server(setup):
+    """A server of its own, so its cache starts empty."""
+    net, enc, store, _ = setup
+    srv = d.serve(net, enc, store, host="127.0.0.1", port=0)
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+def _chunked(lines, sizes):
+    """The lines' wire bytes, cut after every `sizes[k % len(sizes)]` lines."""
+    chunks, k = [], 0
+    while lines:
+        n = sizes[k % len(sizes)]
+        chunks.append(b"".join(line.encode() + b"\n" for line in lines[:n]))
+        lines, k = lines[n:], k + 1
+    return chunks
+
+
+class _SizeLog(engine.RowCache):
+    """A dict that logs its size after every insert, and tells its size late.
+
+    The delay leaves other threads time to insert between a size check and
+    the insert that follows it.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def __len__(self):
+        size = super().__len__()
+        time.sleep(0.0005)
+        return size
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.sizes.append(super().__len__())  # list.append is atomic under the interpreter lock
+
+
+class TestCache:
+    def _stream(self, setup, seed, num_pairs=120, repeats=3):
+        """Every op of `num_pairs` pairs, `repeats` times over, shuffled, with a few others."""
+        net, enc, store, _ = setup
+        rng = np.random.default_rng(seed)
+        pairs = [(u, r) for u in store.user_ids for r in store.resource_ids]
+        chosen = [pairs[k] for k in rng.choice(len(pairs), num_pairs, replace=False)]
+        lines = [f"DECIDE {u} {r} {op}" for u, r in chosen for op in range(2)] * repeats
+        lines += ["PING", f"DECIDE 999999 {chosen[0][1]} 0", f"DECIDE {chosen[0][0]} 0 5"]
+        return [lines[k] for k in rng.permutation(len(lines))]
+
+    def _run_connections(self, address, streams, sizes):
+        got, errors = [None] * len(streams), []
+
+        def client(k):
+            try:
+                got[k] = _exchange(address, _chunked(streams[k], sizes), len(streams[k]),
+                                   pause=0.0005)
+            except Exception as exc:  # a dying thread would otherwise go unseen
+                errors.append(repr(exc))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(len(streams))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        return got
+
+    def _want(self, setup, lines):
+        net, enc, store, _ = setup
+        return [(handle_line(line, net, enc, store, 0.5) + "\n").encode() for line in lines]
+
+    def test_repeated_pairs_over_recvs_and_connections_answer_as_line_by_line(
+        self, setup, fresh_server
+    ):
+        streams = [self._stream(setup, seed) for seed in (1, 2)]
+        got = self._run_connections(fresh_server.server_address, streams, [1, 7, 30, 3, 64])
+        assert got == [self._want(setup, lines) for lines in streams]
+        assert 0 < len(fresh_server.cache) <= 2 * 120
+        # a second pass is all hits
+        assert self._run_connections(fresh_server.server_address, streams, [50]) == got
+
+    def test_the_cache_never_holds_more_than_its_bound(self, setup, fresh_server, monkeypatch):
+        monkeypatch.setattr(engine, "CACHE_PAIRS", 8)
+        fresh_server.cache = _SizeLog()
+        streams = [self._stream(setup, seed, num_pairs=40) for seed in (3, 4)]
+        got = self._run_connections(fresh_server.server_address, streams, [1, 5, 13, 2])
+        assert got == [self._want(setup, lines) for lines in streams]
+        assert len(fresh_server.cache.sizes) > 8
+        assert max(fresh_server.cache.sizes) == 8
+
+    def test_a_write_to_the_callers_network_changes_no_reply(self, setup):
+        net, enc, store, _ = setup
+        own = d.Network(net.config, net.flat.copy())
+        lines = self._stream(setup, 5, num_pairs=30, repeats=1)
+        want = self._want(setup, lines)
+        srv = d.serve(own, enc, store, host="127.0.0.1", port=0)
+        try:
+            assert not srv.net.flat.flags.writeable
+            assert _exchange(srv.server_address, _chunked(lines[:30], [4]), 30) == want[:30]
+            own.flat += 1.0  # the cached pairs and the pairs still to come
+            assert _exchange(srv.server_address, _chunked(lines, [4]), len(lines)) == want
+        finally:
+            srv.shutdown()
+            srv.server_close()
+
+    def test_one_recv_repeating_a_pair_equals_its_lines_sent_one_at_a_time(self, setup):
+        net, enc, store, dset = setup
+        (u, r), (u2, r2) = dset.ids[:2].tolist()
+        lines = [f"DECIDE {u} {r} 0", f"DECIDE {u} {r} 1", "PING", f"DECIDE {u} {r} 0",
+                 f"DECIDE {u2} {r2} 1", f"DECIDE  {u} {r} 0 ", f"DECIDE {u2} {r2} 0",
+                 f"DECIDE {u} {r} 1"]
+        servers = [d.serve(net, enc, store, host="127.0.0.1", port=0) for _ in range(2)]
+        try:
+            wire = b"".join(line.encode() + b"\n" for line in lines)
+            together = _exchange(servers[0].server_address, [wire], len(lines))
+            alone = _closed_loop(servers[1].server_address, [line.encode() for line in lines])
+        finally:
+            for srv in servers:
+                srv.shutdown()
+                srv.server_close()
+        assert together == alone == self._want(setup, lines)
+
+    def test_handle_lines_fills_and_answers_from_a_given_cache(self, setup):
+        net, enc, store, _ = setup
+        lines = self._stream(setup, 6, num_pairs=20)
+        want = [handle_line(line, net, enc, store, 0.5) for line in lines]
+        cache = engine.RowCache()
+        assert engine.handle_lines(lines, net, enc, store, 0.5, cache) == want
+        assert len(cache) == 20
+        rows = dict(cache)
+        assert engine.handle_lines(lines, net, enc, store, 0.5, cache) == want
+        assert cache == rows

@@ -254,13 +254,20 @@ class TestExplain:
         "op, sample_n, message",
         [(2, 5, "operation index 2"), (9, 5, "operation index 9"),
          (-1, 5, "operation index -1"),
-         (0, 0, "sample size"), (0, -2, "sample size")],
+         (0, 0, "sample size"), (0, -2, "sample size"), (0, 1.5, "sample size"),
+         (0, True, "sample size"), (0, "3", "sample size"), (0, 3.0, "sample size")],
     )
     def test_global_bad_op_or_sample_size_rejected(self, trained, op, sample_n, message):
         net, enc, dset = trained
         assert dset.num_ops == 2
         with pytest.raises(ConfigError, match=message):
             d.global_explain(net, enc, dset, op, sample_n=sample_n, steps=4)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True, None])
+    def test_global_seed_must_be_whole(self, trained, seed):
+        net, enc, dset = trained
+        with pytest.raises(ConfigError, match="seed"):
+            d.global_explain(net, enc, dset, 0, sample_n=5, seed=seed, steps=4)
 
     def test_global_dataset_and_model_ops_must_agree(self, trained):
         net, enc, dset = trained

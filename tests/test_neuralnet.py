@@ -505,11 +505,22 @@ class TestTrainConfig:
             ("lr0", float("nan")),
             ("lr0", float("inf")),
             ("early_stop_patience", 0),
+            ("lr0", "a"),
+            ("lr0", True),
+            ("lr0", None),
+            ("val_fraction", "a"),
+            ("val_fraction", False),
+            ("val_fraction", None),
         ],
     )
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             d.TrainConfig(**{field: value})
+
+    def test_numpy_reals_accepted(self):
+        tc = d.TrainConfig(lr0=np.float32(0.5), val_fraction=np.int64(0),
+                           class_weights=(np.float64(2.0), 1))
+        assert (tc.lr0, tc.val_fraction) == (0.5, 0)
 
 
 @pytest.mark.parametrize(
@@ -532,6 +543,7 @@ class TestTrainConfig:
         'TrainConfig(class_weights=("a", 1))',
         "TrainConfig(class_weights=((1.0, 2.0), 1.0))",
         "TrainConfig(class_weights=1.0)",
+        "TrainConfig(class_weights=(True, 1.0))",
     ],
 )
 def test_malformed_network_and_training_values_are_refused(call):
